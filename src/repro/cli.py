@@ -29,15 +29,12 @@ Subcommands:
 * ``cache`` -- inspect / prune / clear an engine result cache;
 * ``serve`` -- run one asyncio HTTP/JSON allocation worker
   (``POST /v1/allocate``, ``/v1/batch``, ``/v1/delta``,
-  ``GET /v1/healthz``, ``/v1/stats`` plus the deprecated unversioned
-  paths; see ``docs/service.md``);
+  ``GET /v1/healthz``, ``/v1/stats``; see ``docs/service.md``);
 * ``fleet`` -- run the fleet coordinator: spawn ``--workers N`` local
   ``serve`` processes (or front externally launched ones with
   ``--worker-url``), route by ``Problem.fingerprint()``, dedup
   fleet-wide, requeue work from dead workers, and shed over-limit
   priority classes with typed 429s (see ``docs/service.md``);
-* ``submit`` -- deprecated alias of ``batch --url`` (prints a warning
-  and maps through);
 * ``lint`` -- run **reprolint**, the AST-based checker for the repo's
   parity and concurrency contracts (rules RL001..RL005, inline
   suppressions, CI baseline; see ``docs/static-analysis.md``).
@@ -199,29 +196,6 @@ def _backend(args):
             url, timeout=getattr(args, "http_timeout", 600.0)
         )
     return _engine(args)
-
-
-# Deprecated spellings warn once per process, then map through.
-_DEPRECATION_WARNED: set = set()
-
-
-def _warn_deprecated(old: str, new: str) -> None:
-    if old in _DEPRECATION_WARNED:
-        return
-    _DEPRECATION_WARNED.add(old)
-    print(f"warning: {old} is deprecated; use {new}", file=sys.stderr)
-
-
-class _DeprecatedAlias(argparse.Action):
-    """An option kept for compatibility: warn once, store normally."""
-
-    def __init__(self, *args, new_name: str = "", **kwargs):
-        self.new_name = new_name
-        super().__init__(*args, **kwargs)
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        _warn_deprecated(option_string or self.dest, self.new_name)
-        setattr(namespace, self.dest, values)
 
 
 def _positive_int(text: str) -> int:
@@ -705,13 +679,6 @@ def _cmd_serve(args) -> int:
     return 0
 
 
-def _cmd_submit(args) -> int:
-    """Deprecated alias: ``submit ...`` == ``batch ... --url URL``."""
-    _warn_deprecated("submit", "batch --url")
-    args.from_shard = None
-    return _cmd_batch(args)
-
-
 def _cmd_fleet(args) -> int:
     """Run the fleet coordinator (spawning workers unless given URLs)."""
     import asyncio
@@ -1013,10 +980,6 @@ def main(argv=None) -> int:
     cmd.add_argument("--timeout", dest="default_timeout", type=float,
                      default=None,
                      help="per-solve budget for requests without their own")
-    cmd.add_argument("--default-timeout", dest="default_timeout",
-                     type=float, action=_DeprecatedAlias,
-                     new_name="--timeout",
-                     help="deprecated alias of --timeout")
 
     cmd = sub.add_parser(
         "fleet",
@@ -1061,27 +1024,6 @@ def main(argv=None) -> int:
                      help="per-solve budget for spawned workers' "
                           "requests without their own")
 
-    cmd = sub.add_parser(
-        "submit",
-        help="deprecated alias of 'batch --url'",
-        parents=[engine_parent],
-    )
-    add_problem_args(cmd, workload_nargs="+")
-    cmd.add_argument("--methods", default=None,
-                     help=f"comma-separated subset of: {', '.join(methods)}")
-    # Not service_parent: submit predates it and keeps its historical
-    # non-None --url default (set_defaults on a shared parent action
-    # would leak the default into every other subcommand).
-    cmd.add_argument("--url", default="http://127.0.0.1:8035",
-                     help="service base URL (default http://127.0.0.1:8035)")
-    cmd.add_argument("--http-timeout", type=float, default=600.0,
-                     help="HTTP socket timeout in seconds (default 600)")
-    cmd.add_argument("--priority", choices=PRIORITY_CLASSES, default=None,
-                     help="admission-control class a fleet coordinator "
-                          "should queue these runs under")
-    cmd.add_argument("--json", help="write the full result envelopes as JSON")
-    cmd.set_defaults(cache_dir=None, cache_max_mb=None, shared_cache_dir=None)
-
     args = parser.parse_args(argv)
     handlers = {
         "list-workloads": _cmd_list_workloads,
@@ -1096,7 +1038,6 @@ def main(argv=None) -> int:
         "trace": _cmd_trace,
         "serve": _cmd_serve,
         "fleet": _cmd_fleet,
-        "submit": _cmd_submit,
     }
     return handlers[args.command](args)
 

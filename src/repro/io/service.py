@@ -5,10 +5,10 @@ serialisation from :mod:`repro.io.json_io` so that everything that goes
 over the wire is byte-compatible with the offline artefacts
 (``repro batch --json`` files, shard results, the on-disk result cache):
 
-* ``POST /allocate`` body: one ``allocation-request`` payload
-  (:func:`~repro.io.json_io.allocation_request_to_dict`); response: one
+* ``POST /v1/allocate`` body: one ``allocation-request`` payload
+  (:func:`allocate_request_payload`); response: one
   ``allocation-result`` payload.
-* ``POST /batch`` body: an ``allocation-batch-request`` payload
+* ``POST /v1/batch`` body: an ``allocation-batch-request`` payload
   (:func:`batch_request_to_dict`); response: an ``allocation-batch``
   payload (:func:`batch_results_to_dict`) -- the *same* shape
   ``repro batch --json`` writes, results ordered like the requests.
@@ -22,16 +22,14 @@ Every helper validates the ``kind`` discriminator and raises
 Versioning (v1)
 ---------------
 
-The ``/v1/*`` routes speak the same payloads plus an explicit
-``schema_version`` field (currently ``1``).  Request bodies *may* carry
-it (clients pin the version they negotiated via ``/healthz``'s
-``schema_versions`` list); servers reject versions they do not support
-with HTTP 400.  v1 request payloads may additionally carry routing
-hints -- a top-level ``fingerprint`` (``Problem.fingerprint()`` computed
-client-side, used by the fleet coordinator to route without parsing the
-problem) -- and v1 responses carry a worker-computed ``content_key``.
-Both are advisory extras: deserialisers ignore them, canonical bytes
-never see them, and the coordinator trusts only worker-reported keys.
+Every payload carries an explicit ``schema_version`` field (currently
+``1``); servers reject request versions they do not support with HTTP
+400.  Request payloads also carry a routing hint -- a top-level
+``fingerprint`` (``Problem.fingerprint()`` computed client-side, used
+by the fleet coordinator to route without parsing the problem) -- and
+responses carry a worker-computed ``content_key``.  Both are advisory
+extras: deserialisers ignore them, canonical bytes never see them, and
+the coordinator trusts only worker-reported keys.
 """
 
 from __future__ import annotations
@@ -75,29 +73,21 @@ ERROR_KIND = "service-error"
 #: Wire schema version spoken by the ``/v1/*`` routes.
 SCHEMA_VERSION = 1
 #: Versions this package can parse; servers advertise the list in
-#: ``/healthz`` (``schema_versions``) and clients pin the highest match.
+#: ``/v1/healthz`` (``schema_versions``).
 SUPPORTED_SCHEMA_VERSIONS = (1,)
 
 
-def check_schema_version(data: Any) -> Optional[int]:
-    """Validate an optional ``schema_version`` field on a payload.
-
-    Returns the declared version (or ``None`` when the payload does not
-    declare one -- every pre-v1 payload); raises ``ValueError`` when the
-    declared version is not one this package supports, which the server
-    maps to HTTP 400.
+def check_schema_version(data: Any) -> None:
+    """Refuse a payload declaring a ``schema_version`` this package does
+    not speak (``ValueError``, which the servers map to HTTP 400).  A
+    payload that declares none is read as the current version.
     """
-    if not isinstance(data, dict):
-        return None
-    version = data.get("schema_version")
-    if version is None:
-        return None
-    if version not in SUPPORTED_SCHEMA_VERSIONS:
+    version = data.get("schema_version") if isinstance(data, dict) else None
+    if version is not None and version not in SUPPORTED_SCHEMA_VERSIONS:
         raise ValueError(
             f"unsupported schema_version {version!r}; "
             f"supported: {list(SUPPORTED_SCHEMA_VERSIONS)}"
         )
-    return int(version)
 
 
 def _fingerprint_hint(request: Any) -> Optional[str]:
@@ -108,42 +98,33 @@ def _fingerprint_hint(request: Any) -> Optional[str]:
         return None
 
 
-def allocate_request_payload(
-    request: Any, schema_version: Optional[int] = None
-) -> Dict[str, Any]:
-    """Serialise a ``POST /allocate`` body, optionally v1-annotated.
+def allocate_request_payload(request: Any) -> Dict[str, Any]:
+    """Serialise a ``POST /v1/allocate`` body.
 
-    With ``schema_version`` set the payload carries the version field
-    plus a ``fingerprint`` routing hint.  Hints are advisory: a wrong
-    fingerprint only mis-routes (and so slows) the request that carried
-    it -- correctness and cache keys rest on worker-computed keys.
+    The payload carries the version field plus a ``fingerprint``
+    routing hint.  Hints are advisory: a wrong fingerprint only
+    mis-routes (and so slows) the request that carried it --
+    correctness and cache keys rest on worker-computed keys.
     """
     payload = allocation_request_to_dict(request)
-    if schema_version is not None:
-        payload["schema_version"] = schema_version
-        fingerprint = _fingerprint_hint(request)
-        if fingerprint is not None:
-            payload["fingerprint"] = fingerprint
+    payload["schema_version"] = SCHEMA_VERSION
+    fingerprint = _fingerprint_hint(request)
+    if fingerprint is not None:
+        payload["fingerprint"] = fingerprint
     return payload
 
 
-def batch_request_to_dict(
-    requests: Sequence[Any], schema_version: Optional[int] = None
-) -> Dict[str, Any]:
-    """Serialise a ``POST /batch`` body from allocation requests."""
-    payload: Dict[str, Any] = {
+def batch_request_to_dict(requests: Sequence[Any]) -> Dict[str, Any]:
+    """Serialise a ``POST /v1/batch`` body from allocation requests."""
+    return {
         "kind": BATCH_REQUEST_KIND,
-        "requests": [
-            allocate_request_payload(r, schema_version) for r in requests
-        ],
+        "requests": [allocate_request_payload(r) for r in requests],
+        "schema_version": SCHEMA_VERSION,
     }
-    if schema_version is not None:
-        payload["schema_version"] = schema_version
-    return payload
 
 
 def batch_request_from_dict(data: Any) -> List[Any]:
-    """Deserialise a ``POST /batch`` body into allocation requests."""
+    """Deserialise a ``POST /v1/batch`` body into allocation requests."""
     if not isinstance(data, dict) or data.get("kind") != BATCH_REQUEST_KIND:
         kind = data.get("kind") if isinstance(data, dict) else type(data).__name__
         raise ValueError(f"not an {BATCH_REQUEST_KIND} payload: {kind!r}")
@@ -177,7 +158,7 @@ def batch_results_from_dict(data: Any) -> List[Any]:
 
 
 def delta_request_to_dict(request: Any) -> Dict[str, Any]:
-    """Serialise a ``POST /delta`` body from a
+    """Serialise a ``POST /v1/delta`` body from a
     :class:`~repro.engine.results.DeltaRequest`."""
     return {
         "kind": DELTA_REQUEST_KIND,
@@ -194,7 +175,7 @@ def delta_request_to_dict(request: Any) -> Dict[str, Any]:
 
 
 def delta_request_from_dict(data: Any) -> Any:
-    """Deserialise a ``POST /delta`` body into a
+    """Deserialise a ``POST /v1/delta`` body into a
     :class:`~repro.engine.results.DeltaRequest`."""
     if not isinstance(data, dict) or data.get("kind") != DELTA_REQUEST_KIND:
         kind = data.get("kind") if isinstance(data, dict) else type(data).__name__

@@ -10,8 +10,7 @@ Four layers, each usable on its own:
 * :class:`AllocationServer` / :class:`ServerThread` -- a stdlib-only
   asyncio HTTP/JSON worker (``repro serve``) exposing the versioned v1
   surface (``POST /v1/allocate``, ``/v1/batch``, ``/v1/delta``,
-  ``GET /v1/healthz``, ``/v1/stats``) plus the unversioned paths
-  behind a ``Deprecation`` shim.
+  ``GET /v1/healthz``, ``/v1/stats``).
 * :class:`FleetCoordinator` / :class:`FleetThread` /
   :class:`WorkerPool` -- the fleet tier (``repro fleet``): fingerprint
   rendezvous routing over health-checked workers, fleet-wide dedup
@@ -20,9 +19,12 @@ Four layers, each usable on its own:
   admission control with typed 429 shedding.
 * :class:`ServiceClient` -- a thin synchronous client satisfying the
   :class:`repro.engine.Backend` protocol (``run`` / ``run_delta`` /
-  ``run_batch``), schema-negotiating, with envelopes
-  canonical-byte-identical to the offline ``Engine.run_batch`` path --
-  against a single worker and a coordinator alike.
+  ``run_batch``), with envelopes canonical-byte-identical to the
+  offline ``Engine.run_batch`` path -- against a single worker and a
+  coordinator alike.
+
+:class:`AsyncEngine` and :class:`FleetCoordinator` single-flight through
+one primitive, :class:`repro.service.primitives.SingleFlight`.
 
 See ``docs/service.md`` for the wire schema and deployment notes.
 """

@@ -39,6 +39,7 @@ from typing import Any, Deque, Dict, List, Optional, Sequence
 
 from ..engine import AllocationRequest, AllocationResult, DeltaRequest, Engine
 from ..engine.engine import request_content_key
+from .primitives import SingleFlight, latency_summary
 
 __all__ = ["AsyncEngine"]
 
@@ -77,10 +78,7 @@ class AsyncEngine:
         self._pool = ThreadPoolExecutor(
             max_workers=max_concurrency, thread_name_prefix="repro-serve"
         )
-        # flight key -> task of the one live run for that key.  Only
-        # touched from the event-loop thread, so no lock is needed; the
-        # shared ResultCache below has its own lock.
-        self._inflight: Dict[str, "asyncio.Task[AllocationResult]"] = {}
+        self._flights: SingleFlight[AllocationResult] = SingleFlight()
         # The latency window IS read off-loop (the server offloads
         # /stats to a thread so the manifest rescan cannot stall the
         # loop), so appends and snapshots share a lock.
@@ -105,46 +103,28 @@ class AsyncEngine:
         """
         request = self._with_default_timeout(request)
         self._requests_total += 1
-        key = self._flight_key(request)
-        if key is None:
-            return await self._execute(request)
-        existing = self._inflight.get(key)
-        if existing is not None:
-            self._deduplicated += 1
-            result = await asyncio.shield(existing)
-            # The shared run carries the leader's label; echo this
-            # request's own, as a cache hit would.
-            return replace(result, label=request.label)
-        task = asyncio.ensure_future(self._execute(request))
-        self._inflight[key] = task
-
-        def _cleanup(done: "asyncio.Task[AllocationResult]") -> None:
-            if self._inflight.get(key) is done:
-                del self._inflight[key]
-
-        task.add_done_callback(_cleanup)
-        # Shield the leader too: cancelling one awaiting client must
-        # not abort a run other clients may be waiting on.
-        return await asyncio.shield(task)
-
-    async def run_many(
-        self, requests: Sequence[AllocationRequest]
-    ) -> List[AllocationResult]:
-        """Execute a batch concurrently; results align with requests."""
-        return list(await asyncio.gather(*(self.run(r) for r in requests)))
+        result, joined = await self._flights.run(
+            self._flight_key(request), lambda: self._execute(request)
+        )
+        if not joined:
+            return result
+        self._deduplicated += 1
+        # The shared run carries the leader's label; echo this
+        # request's own, as a cache hit would.
+        return replace(result, label=request.label)
 
     async def run_batch(
         self,
         requests: Sequence[AllocationRequest],
         workers: Optional[int] = None,
     ) -> List[AllocationResult]:
-        """Backend-protocol spelling of :meth:`run_many`.
+        """Execute a batch concurrently; results align with requests.
 
         ``workers`` is advisory: this engine's ``max_concurrency``
         bound decides the fan-out, exactly as for every other request.
         """
         del workers  # advisory; max_concurrency decides
-        return await self.run_many(requests)
+        return list(await asyncio.gather(*(self.run(r) for r in requests)))
 
     async def run_delta(self, request: DeltaRequest) -> AllocationResult:
         """Execute one warm-start delta solve without blocking the loop.
@@ -223,14 +203,7 @@ class AsyncEngine:
         queueing time (what a client actually experienced).
         """
         with self._latency_lock:
-            window = sorted(self._latencies)
-
-        def percentile(fraction: float) -> Optional[float]:
-            if not window:
-                return None
-            index = min(len(window) - 1, int(fraction * len(window)))
-            return round(window[index], 6)
-
+            latency = latency_summary(self._latencies)
         # The in-memory cache view: a /stats poll must not hold the
         # cache lock through a full directory rescan while solves wait
         # on cache reads/writes.
@@ -249,9 +222,7 @@ class AsyncEngine:
             "completed": self._completed,
             "failed": self._failed,
             "deduplicated": self._deduplicated,
-            "latency_p50_seconds": percentile(0.50),
-            "latency_p95_seconds": percentile(0.95),
-            "latency_window": len(window),
+            **latency,
             "cache": cache,
             "cache_hit_rate": (
                 round(hits / lookups, 4) if lookups else None

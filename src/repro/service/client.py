@@ -16,12 +16,8 @@ callers accept local-or-remote interchangeably::
     results = client.run_batch(requests)      # ordered like requests
     print(client.stats()["cache_hit_rate"])
 
-Schema negotiation: on first contact the client reads the server's
-advertised ``schema_versions`` from ``/healthz`` and pins the highest
-version both sides speak -- ``/v1`` routes with ``schema_version`` and
-``fingerprint`` routing hints against current servers, the pre-v1
-unversioned routes against older ones.  Pass ``schema_version=0`` or
-``=1`` to skip negotiation and force a dialect.
+Every call speaks the ``/v1`` wire schema: request payloads carry
+``schema_version`` and a ``fingerprint`` routing hint.
 
 HTTP-level failures raise :class:`ServiceError` (with the server's
 ``service-error`` payload when one was sent); *solver*-level failures
@@ -40,7 +36,7 @@ from typing import Any, Dict, List, Optional, Sequence
 from ..engine import AllocationRequest, AllocationResult, DeltaRequest
 from ..io.json_io import allocation_result_from_dict
 from ..io.service import (
-    SUPPORTED_SCHEMA_VERSIONS,
+    SCHEMA_VERSION,
     allocate_request_payload,
     batch_request_to_dict,
     batch_results_from_dict,
@@ -51,7 +47,7 @@ __all__ = ["ServiceClient", "ServiceError"]
 
 # Per-request socket timeout: generous because an /allocate call spans
 # the whole solve (cap solves with AllocationRequest.timeout / the
-# server's --default-timeout, not the transport).
+# server's --timeout, not the transport).
 DEFAULT_HTTP_TIMEOUT = 600.0
 
 
@@ -85,28 +81,16 @@ class ServiceClient:
             (``repro serve``) or a fleet coordinator (``repro fleet``);
             the wire contract is identical.
         timeout: per-request socket timeout in seconds.
-        schema_version: pin the wire dialect (``0`` = pre-v1
-            unversioned paths, ``1`` = ``/v1``).  Default: negotiate
-            from the server's advertised ``schema_versions`` on first
-            contact.
     """
 
+    #: The wire schema version every request speaks.
+    schema_version = SCHEMA_VERSION
+
     def __init__(
-        self,
-        base_url: str,
-        timeout: float = DEFAULT_HTTP_TIMEOUT,
-        schema_version: Optional[int] = None,
+        self, base_url: str, timeout: float = DEFAULT_HTTP_TIMEOUT
     ) -> None:
-        if schema_version is not None and schema_version != 0 and (
-            schema_version not in SUPPORTED_SCHEMA_VERSIONS
-        ):
-            raise ValueError(
-                f"unsupported schema_version {schema_version!r}; "
-                f"supported: 0 (legacy) or {list(SUPPORTED_SCHEMA_VERSIONS)}"
-            )
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
-        self._schema_version = schema_version
 
     # ------------------------------------------------------------------
     # transport
@@ -143,61 +127,30 @@ class ServiceClient:
             ) from None
 
     # ------------------------------------------------------------------
-    # schema negotiation
-    # ------------------------------------------------------------------
-    @property
-    def schema_version(self) -> int:
-        """The pinned wire dialect (``0`` = pre-v1), negotiating once.
-
-        Negotiation is one ``GET /healthz`` on the always-available
-        unversioned path: the highest version in the intersection of
-        the server's advertised ``schema_versions`` and this package's
-        :data:`~repro.io.service.SUPPORTED_SCHEMA_VERSIONS` wins; a
-        server advertising nothing (pre-v1) pins ``0``.
-        """
-        if self._schema_version is None:
-            payload = self._request("GET", "/healthz")
-            advertised = payload.get("schema_versions") or []
-            usable = [
-                v for v in advertised if v in SUPPORTED_SCHEMA_VERSIONS
-            ]
-            self._schema_version = max(usable) if usable else 0
-        return self._schema_version
-
-    def _path(self, suffix: str) -> str:
-        return f"/v1{suffix}" if self.schema_version >= 1 else suffix
-
-    def _wire_version(self) -> Optional[int]:
-        """The version to stamp into request payloads (None = pre-v1)."""
-        return self.schema_version if self.schema_version >= 1 else None
-
-    # ------------------------------------------------------------------
     # endpoints (Backend protocol: run / run_delta / run_batch)
     # ------------------------------------------------------------------
     def healthz(self) -> Dict[str, Any]:
-        """``GET /healthz``: liveness + server version."""
-        return self._request("GET", self._path("/healthz"))
+        """``GET /v1/healthz``: liveness + server version."""
+        return self._request("GET", "/v1/healthz")
 
     def stats(self) -> Dict[str, Any]:
-        """``GET /stats``: the server's statistics payload.
+        """``GET /v1/stats``: the server's statistics payload.
 
         A worker answers with its ``AsyncEngine.stats()`` view; a fleet
         coordinator with fleet-wide counters (per-class latency/shed,
         per-worker health).
         """
-        return self._request("GET", self._path("/stats"))
+        return self._request("GET", "/v1/stats")
 
     def run(self, request: AllocationRequest) -> AllocationResult:
-        """``POST /allocate``: run one request, return its envelope."""
+        """``POST /v1/allocate``: run one request, return its envelope."""
         payload = self._request(
-            "POST",
-            self._path("/allocate"),
-            allocate_request_payload(request, self._wire_version()),
+            "POST", "/v1/allocate", allocate_request_payload(request)
         )
         return allocation_result_from_dict(payload)
 
     def run_delta(self, request: DeltaRequest) -> AllocationResult:
-        """``POST /delta``: warm-start re-solve of an edited problem.
+        """``POST /v1/delta``: warm-start re-solve of an edited problem.
 
         The returned envelope is canonical-byte identical to a cold
         :meth:`run` of the edited problem; the strategy the server
@@ -205,11 +158,9 @@ class ServiceClient:
         in its non-canonical ``delta`` field.
         """
         body = delta_request_to_dict(request)
-        version = self._wire_version()
-        if version is not None:
-            body["schema_version"] = version
-            body["fingerprint"] = request.fingerprint()
-        payload = self._request("POST", self._path("/delta"), body)
+        body["schema_version"] = SCHEMA_VERSION
+        body["fingerprint"] = request.fingerprint()
+        payload = self._request("POST", "/v1/delta", body)
         return allocation_result_from_dict(payload)
 
     def run_batch(
@@ -217,7 +168,7 @@ class ServiceClient:
         requests: Sequence[AllocationRequest],
         workers: Optional[int] = None,
     ) -> List[AllocationResult]:
-        """``POST /batch``: run a batch, envelopes ordered like requests.
+        """``POST /v1/batch``: run a batch, envelopes ordered like requests.
 
         ``workers`` is advisory (Backend-protocol compatibility): the
         server's own concurrency bound decides the fan-out, not the
@@ -225,9 +176,7 @@ class ServiceClient:
         """
         del workers  # advisory; the server's concurrency bound decides
         payload = self._request(
-            "POST",
-            self._path("/batch"),
-            batch_request_to_dict(requests, self._wire_version()),
+            "POST", "/v1/batch", batch_request_to_dict(requests)
         )
         results = batch_results_from_dict(payload)
         if len(results) != len(requests):
@@ -237,22 +186,6 @@ class ServiceClient:
                 f"for {len(requests)} requests",
             )
         return results
-
-    # Pre-Backend spellings, kept as aliases so existing callers and
-    # docs keep working; new code should use run/run_delta/run_batch.
-    def allocate(self, request: AllocationRequest) -> AllocationResult:
-        """Alias of :meth:`run`."""
-        return self.run(request)
-
-    def delta(self, request: DeltaRequest) -> AllocationResult:
-        """Alias of :meth:`run_delta`."""
-        return self.run_delta(request)
-
-    def batch(
-        self, requests: Sequence[AllocationRequest]
-    ) -> List[AllocationResult]:
-        """Alias of :meth:`run_batch`."""
-        return self.run_batch(requests)
 
     def wait_healthy(self, deadline_seconds: float = 10.0) -> Dict[str, Any]:
         """Poll ``/healthz`` until it answers; raise after the deadline."""

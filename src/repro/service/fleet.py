@@ -3,9 +3,9 @@
 :class:`FleetCoordinator` is an asyncio HTTP process (``repro fleet``)
 that fronts N ``repro serve`` workers behind the *same* v1 wire surface
 a single worker exposes -- ``POST /v1/allocate``, ``POST /v1/batch``,
-``POST /v1/delta``, ``GET /v1/healthz``, ``GET /v1/stats`` (plus the
-unversioned deprecation shim) -- so :class:`~repro.service.ServiceClient`
-talks to a fleet exactly as it talks to one server.
+``POST /v1/delta``, ``GET /v1/healthz``, ``GET /v1/stats`` -- so
+:class:`~repro.service.ServiceClient` talks to a fleet exactly as it
+talks to one server.
 
 Four mechanisms, in request order:
 
@@ -22,7 +22,9 @@ Four mechanisms, in request order:
   fleet, so N clients asking for the same solve cost one worker run.
   Memo **writes** are keyed by the worker-reported ``content_key``
   (computed from the parsed problem), never by the client's claimed
-  fingerprint: a lying client can only mis-route or mis-serve itself.
+  fingerprint, and a request that joins a flight is served its result
+  only when that key matches its own: a lying client can only
+  mis-route or mis-serve itself.
 * **Fingerprint routing** -- rendezvous (highest-random-weight) hashing
   of the routing key over the healthy workers, so one worker's death
   only remaps that worker's keys and repeated solves of one problem
@@ -50,7 +52,7 @@ for ``repro fleet --workers N``, the benchmark and the CI smoke;
 from __future__ import annotations
 
 import asyncio
-import functools
+import contextlib
 import hashlib
 import json
 import os
@@ -66,8 +68,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import (
     Any,
+    Awaitable,
     Deque,
     Dict,
+    Iterator,
     List,
     Mapping,
     Optional,
@@ -88,17 +92,15 @@ from ..io.service import (
     BATCH_RESULTS_KIND,
     SCHEMA_VERSION,
     SUPPORTED_SCHEMA_VERSIONS,
-    check_schema_version,
 )
 from .http import (
     DEFAULT_MAX_BODY_BYTES,
     HttpError,
     HttpServerBase,
-    Route,
     ServerThreadBase,
     fetch_json,
 )
-from .server import DEPRECATION_HEADERS
+from .primitives import SingleFlight, latency_summary
 
 __all__ = [
     "DEFAULT_QUEUE_LIMITS",
@@ -218,7 +220,7 @@ class FleetCoordinator(HttpServerBase):
             ResultCache(shared_dir) if shared_dir is not None else None
         )
         self._memo: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
-        self._flights: Dict[str, "asyncio.Future[Dict[str, Any]]"] = {}
+        self._flights: SingleFlight[Dict[str, Any]] = SingleFlight()
         limits = dict(DEFAULT_QUEUE_LIMITS)
         for name, limit in (queue_limits or {}).items():
             if name not in PRIORITY_CLASSES:
@@ -419,25 +421,6 @@ class FleetCoordinator(HttpServerBase):
             return
         self._memo_put(key, dict(payload))
 
-    def _serve_memo_hit(
-        self, pristine: Mapping[str, Any], label: Any, v1: bool
-    ) -> Dict[str, Any]:
-        """A dedup hit, re-labelled for this request like an engine
-        cache hit (label and ``cached`` are non-canonical)."""
-        payload = dict(pristine)
-        payload["label"] = label
-        payload["cached"] = True
-        return self._finish_payload(payload, v1)
-
-    @staticmethod
-    def _finish_payload(payload: Dict[str, Any], v1: bool) -> Dict[str, Any]:
-        if v1:
-            payload["schema_version"] = SCHEMA_VERSION
-        else:
-            payload.pop("schema_version", None)
-            payload.pop("content_key", None)
-        return payload
-
     def _store_read(self, key: str) -> Optional[str]:
         if self._store is None:
             return None
@@ -449,12 +432,6 @@ class FleetCoordinator(HttpServerBase):
     # ------------------------------------------------------------------
     # request pipeline
     # ------------------------------------------------------------------
-    def _check_version(self, data: Any) -> None:
-        try:
-            check_schema_version(data)
-        except ValueError as exc:
-            raise HttpError(400, str(exc)) from None
-
     @staticmethod
     def _class_of(entry: Mapping[str, Any]) -> str:
         name = entry.get("priority")
@@ -468,9 +445,10 @@ class FleetCoordinator(HttpServerBase):
             )
         return str(name)
 
-    def _admit(self, wanted: Mapping[str, int]) -> None:
-        """Reserve admission slots for every class in ``wanted`` or
-        shed the whole unit of work with a typed 429."""
+    @contextlib.contextmanager
+    def _admitted(self, wanted: Mapping[str, int]) -> Iterator[None]:
+        """Hold admission slots for every class in ``wanted`` or shed
+        the whole unit of work with a typed 429."""
         over = [
             name for name, count in wanted.items()
             if self._class_counts[name] + count > self._class_limits[name]
@@ -490,61 +468,55 @@ class FleetCoordinator(HttpServerBase):
         for name, count in wanted.items():
             self._class_counts[name] += count
             self._class_admitted[name] += count
+        try:
+            yield
+        finally:
+            for name, count in wanted.items():
+                self._class_counts[name] -= count
 
-    def _release(self, wanted: Mapping[str, int]) -> None:
-        for name, count in wanted.items():
-            self._class_counts[name] -= count
-
-    async def _serve_entry(
-        self, entry: Dict[str, Any], v1: bool
-    ) -> Dict[str, Any]:
+    async def _serve_entry(self, entry: Dict[str, Any]) -> Dict[str, Any]:
         """One allocation request end to end: memo -> shared store ->
         fleet-wide single flight -> routed forward with requeue."""
-        label = entry.get("label")
         memo_key = self._lookup_key(entry)
-        if memo_key is not None:
-            hit = self._memo_get(memo_key)
-            if hit is not None:
-                self._memo_hits += 1
-                self._deduplicated += 1
-                return self._serve_memo_hit(hit, label, v1)
-            text = await asyncio.get_running_loop().run_in_executor(
-                None, self._store_read, memo_key
+        hit = None if memo_key is None else await self._dedup_hit(memo_key)
+        if hit is None:
+            flight_key = (
+                None if memo_key is None
+                else f"{memo_key}@{entry.get('timeout')!r}"
             )
-            if text is not None:
-                adopted = self._adopt_store_entry(memo_key, text)
-                if adopted is not None:
-                    self._store_hits += 1
-                    self._deduplicated += 1
-                    return self._serve_memo_hit(adopted, label, v1)
-        if memo_key is None:
-            payload = await self._dispatch_entry(entry, memo_key)
-            return self._finish_payload(dict(payload), v1)
-
-        flight_key = f"{memo_key}@{entry.get('timeout')!r}"
-        existing = self._flights.get(flight_key)
-        if existing is not None:
-            self._deduplicated += 1
-            payload = await asyncio.shield(existing)
-            return self._serve_memo_hit(payload, label, v1)
-        future: "asyncio.Future[Dict[str, Any]]" = (
-            asyncio.get_running_loop().create_future()
+            payload, joined = await self._flights.run(
+                flight_key, lambda: self._dispatch_entry(entry, memo_key)
+            )
+            if not joined:
+                return dict(payload, schema_version=SCHEMA_VERSION)
+            # The flight was keyed by a client's claimed fingerprint, so
+            # its leader may have carried another problem: serve its
+            # result only when the worker confirms this request's key.
+            if payload.get("content_key") != memo_key:
+                payload = await self._dispatch_entry(entry, memo_key)
+                return dict(payload, schema_version=SCHEMA_VERSION)
+            hit = payload
+        # Re-labelled for this request like an engine cache hit (label
+        # and ``cached`` are non-canonical).
+        self._deduplicated += 1
+        return dict(
+            hit, label=entry.get("label"), cached=True,
+            schema_version=SCHEMA_VERSION,
         )
-        self._flights[flight_key] = future
-        try:
-            payload = await self._dispatch_entry(entry, memo_key)
-        except BaseException as exc:
-            if not future.done():
-                future.set_exception(exc)
-                future.exception()  # the leader reports it; don't warn
-            raise
-        else:
-            if not future.done():
-                future.set_result(payload)
-        finally:
-            if self._flights.get(flight_key) is future:
-                del self._flights[flight_key]
-        return self._finish_payload(dict(payload), v1)
+
+    async def _dedup_hit(self, key: str) -> Optional[Dict[str, Any]]:
+        """The memo's, else the shared store's, envelope for ``key``."""
+        hit = self._memo_get(key)
+        if hit is not None:
+            self._memo_hits += 1
+            return hit
+        text = await asyncio.get_running_loop().run_in_executor(
+            None, self._store_read, key
+        )
+        hit = self._adopt_store_entry(key, text) if text is not None else None
+        if hit is not None:
+            self._store_hits += 1
+        return hit
 
     def _adopt_store_entry(
         self, key: str, text: str
@@ -566,27 +538,22 @@ class FleetCoordinator(HttpServerBase):
     async def _dispatch_entry(
         self, entry: Dict[str, Any], memo_key: Optional[str]
     ) -> Dict[str, Any]:
-        routing_key = (
-            entry.get("fingerprint")
-            or memo_key
-            or hashlib.sha256(
-                json.dumps(entry, sort_keys=True).encode("utf-8")
-            ).hexdigest()
-        )
+        routing_key = entry.get("fingerprint") or memo_key or _digest(entry)
         payload = await self._route_and_forward(
             str(routing_key), "/v1/allocate", entry
         )
         self._memo_store_response(payload)
         return payload
 
-    async def _timed_entry(
-        self, entry: Dict[str, Any], cls: str, v1: bool
+    async def _timed(
+        self, cls: str, work: Awaitable[Dict[str, Any]]
     ) -> Dict[str, Any]:
-        """Serve one admitted entry with latency + outcome accounting."""
+        """Await one admitted unit of work with latency + outcome
+        accounting."""
         self._requests_total += 1
         began = time.perf_counter()
         try:
-            payload = await self._serve_entry(entry, v1)
+            payload = await work
         except BaseException:
             self._failed += 1
             raise
@@ -597,29 +564,11 @@ class FleetCoordinator(HttpServerBase):
         return payload
 
     # ------------------------------------------------------------------
-    # endpoints
+    # endpoints (routed by HttpServerBase)
     # ------------------------------------------------------------------
-    def routes(self) -> Dict[str, Route]:
-        endpoints = {
-            "/healthz": ("GET", self._handle_healthz),
-            "/stats": ("GET", self._handle_stats),
-            "/allocate": ("POST", self._handle_allocate),
-            "/batch": ("POST", self._handle_batch),
-            "/delta": ("POST", self._handle_delta),
-        }
-        table: Dict[str, Route] = {}
-        for path, (method, handler) in endpoints.items():
-            table[f"/v1{path}"] = (
-                method, functools.partial(handler, v1=True), None,
-            )
-            table[path] = (method, handler, DEPRECATION_HEADERS)
-        return table
-
-    async def _handle_healthz(
-        self, _body: bytes, v1: bool = False
-    ) -> Tuple[int, Dict[str, Any]]:
+    async def _handle_healthz(self) -> Dict[str, Any]:
         healthy = sum(1 for worker in self.workers if worker.healthy)
-        payload: Dict[str, Any] = {
+        return {
             "kind": "service-health",
             "status": "ok" if healthy else "degraded",
             "version": __version__,
@@ -627,32 +576,19 @@ class FleetCoordinator(HttpServerBase):
             "schema_versions": list(SUPPORTED_SCHEMA_VERSIONS),
             "workers": {"total": len(self.workers), "healthy": healthy},
         }
-        if v1:
-            payload["schema_version"] = SCHEMA_VERSION
-        return 200, payload
 
-    async def _handle_stats(
-        self, _body: bytes, v1: bool = False
-    ) -> Tuple[int, Dict[str, Any]]:
-        def percentile(window: List[float], fraction: float) -> Optional[float]:
-            if not window:
-                return None
-            index = min(len(window) - 1, int(fraction * len(window)))
-            return round(window[index], 6)
-
-        classes: Dict[str, Any] = {}
-        for name in PRIORITY_CLASSES:
-            window = sorted(self._class_latencies[name])
-            classes[name] = {
+    async def _handle_stats(self) -> Dict[str, Any]:
+        classes = {
+            name: {
                 "limit": self._class_limits[name],
                 "in_flight": self._class_counts[name],
                 "admitted": self._class_admitted[name],
                 "shed": self._class_shed[name],
-                "latency_p50_seconds": percentile(window, 0.50),
-                "latency_p95_seconds": percentile(window, 0.95),
-                "latency_window": len(window),
+                **latency_summary(self._class_latencies[name]),
             }
-        payload: Dict[str, Any] = {
+            for name in PRIORITY_CLASSES
+        }
+        return {
             "kind": "service-stats",
             "role": "coordinator",
             "uptime_seconds": round(time.monotonic() - self._started_at, 3),
@@ -671,15 +607,8 @@ class FleetCoordinator(HttpServerBase):
             "classes": classes,
             "workers": [worker.snapshot() for worker in self.workers],
         }
-        if v1:
-            payload["schema_version"] = SCHEMA_VERSION
-        return 200, payload
 
-    async def _handle_allocate(
-        self, body: bytes, v1: bool = False
-    ) -> Tuple[int, Dict[str, Any]]:
-        data = self._parse_json(body)
-        self._check_version(data)
+    async def _handle_allocate(self, data: Any) -> Dict[str, Any]:
         if not isinstance(data, dict) or data.get("kind") != "allocation-request":
             raise HttpError(
                 400,
@@ -687,19 +616,10 @@ class FleetCoordinator(HttpServerBase):
                 f"{data.get('kind') if isinstance(data, dict) else data!r}",
             )
         cls = self._class_of(data)
-        wanted = {cls: 1}
-        self._admit(wanted)
-        try:
-            payload = await self._timed_entry(data, cls, v1)
-        finally:
-            self._release(wanted)
-        return 200, payload
+        with self._admitted({cls: 1}):
+            return await self._timed(cls, self._serve_entry(data))
 
-    async def _handle_batch(
-        self, body: bytes, v1: bool = False
-    ) -> Tuple[int, Dict[str, Any]]:
-        data = self._parse_json(body)
-        self._check_version(data)
+    async def _handle_batch(self, data: Any) -> Dict[str, Any]:
         if not isinstance(data, dict) or data.get("kind") != BATCH_REQUEST_KIND:
             raise HttpError(
                 400,
@@ -722,13 +642,11 @@ class FleetCoordinator(HttpServerBase):
             labelled.append((entry, cls))
         # All-or-nothing admission: a batch is one unit of work, and
         # partially shedding it would break results/requests alignment.
-        self._admit(wanted)
-        try:
+        with self._admitted(wanted):
             outcomes = await asyncio.gather(*(
-                self._timed_entry(entry, cls, v1) for entry, cls in labelled
+                self._timed(cls, self._serve_entry(entry))
+                for entry, cls in labelled
             ), return_exceptions=True)
-        finally:
-            self._release(wanted)
         results: List[Dict[str, Any]] = []
         for outcome in outcomes:
             # Let every entry settle (requeues included) before failing
@@ -736,49 +654,32 @@ class FleetCoordinator(HttpServerBase):
             if isinstance(outcome, BaseException):
                 raise outcome
             results.append(outcome)
-        payload: Dict[str, Any] = {
-            "kind": BATCH_RESULTS_KIND,
-            "results": results,
-        }
-        if v1:
-            payload["schema_version"] = SCHEMA_VERSION
-        return 200, payload
+        return {"kind": BATCH_RESULTS_KIND, "results": results}
 
-    async def _handle_delta(
-        self, body: bytes, v1: bool = False
-    ) -> Tuple[int, Dict[str, Any]]:
-        data = self._parse_json(body)
-        self._check_version(data)
+    async def _handle_delta(self, data: Any) -> Dict[str, Any]:
         if not isinstance(data, dict):
             raise HttpError(400, "delta-request body must be a JSON object")
         cls = self._class_of(data)
-        wanted = {cls: 1}
-        self._admit(wanted)
-        self._requests_total += 1
-        began = time.perf_counter()
-        try:
-            # Route by the base fingerprint so one base problem's delta
-            # solves keep hitting the worker whose replay artifact is
-            # already primed.  Deltas are not memoised (they are cheap
-            # by design and their envelopes depend on the edit chain).
-            routing_key = (
-                data.get("fingerprint")
-                or data.get("base_fingerprint")
-                or hashlib.sha256(body).hexdigest()
-            )
-            payload = await self._route_and_forward(
+        # Route by the base fingerprint so one base problem's delta
+        # solves keep hitting the worker whose replay artifact is
+        # already primed.  Deltas are not memoised (they are cheap by
+        # design and their envelopes depend on the edit chain).
+        routing_key = (
+            data.get("fingerprint")
+            or data.get("base_fingerprint")
+            or _digest(data)
+        )
+        with self._admitted({cls: 1}):
+            return await self._timed(cls, self._route_and_forward(
                 str(routing_key), "/v1/delta", data
-            )
-        except BaseException:
-            self._failed += 1
-            raise
-        finally:
-            self._release(wanted)
-        self._class_latencies[cls].append(time.perf_counter() - began)
-        self._completed += 1
-        if payload.get("error") is not None:
-            self._failed += 1
-        return 200, self._finish_payload(dict(payload), v1)
+            ))
+
+
+def _digest(payload: Mapping[str, Any]) -> str:
+    """Routing key of a request that names no fingerprint."""
+    return hashlib.sha256(
+        json.dumps(payload, sort_keys=True).encode("utf-8")
+    ).hexdigest()
 
 
 class FleetThread(ServerThreadBase):

@@ -6,10 +6,9 @@ daemons in this package -- the single-engine worker
 (:class:`repro.service.FleetCoordinator`):
 
 * :class:`HttpServerBase` -- connection handling, request parsing,
-  bounded bodies, JSON responses, and route dispatch.  Subclasses
-  implement :meth:`~HttpServerBase.routes` mapping paths to handlers;
-  a route may attach fixed extra response headers (how the unversioned
-  deprecation shim emits ``Deprecation: true``).
+  bounded bodies, JSON responses, and dispatch over the one v1 route
+  table (:data:`ENDPOINTS`).  Subclasses implement one
+  ``_handle_<endpoint>`` method per endpoint.
 * :class:`HttpError` -- typed refusal; the base turns it into a
   ``service-error`` JSON body with the matching HTTP status (and the
   optional machine-readable ``error_code``).
@@ -33,12 +32,11 @@ from typing import (
     Awaitable,
     Callable,
     Dict,
-    Mapping,
     Optional,
     Tuple,
 )
 
-from ..io.service import error_to_dict
+from ..io.service import SCHEMA_VERSION, check_schema_version, error_to_dict
 
 __all__ = [
     "DEFAULT_MAX_BODY_BYTES",
@@ -64,10 +62,20 @@ _STATUS_TEXT = {
 # beyond this is a client bug, not a workload.
 DEFAULT_MAX_BODY_BYTES = 64 * 1024 * 1024
 
-#: A route handler: request body bytes -> (status, JSON payload).
-Handler = Callable[[bytes], Awaitable[Tuple[int, Dict[str, Any]]]]
-#: Route table entry: (HTTP method, handler, fixed extra headers).
-Route = Tuple[str, Handler, Optional[Mapping[str, str]]]
+#: The v1 wire surface both daemons serve: endpoint -> HTTP method.
+#: ``/v1/<endpoint>`` is answered by the server's ``_handle_<endpoint>``:
+#: a GET handler takes no argument, a POST handler the parsed,
+#: version-checked JSON body; either returns the HTTP 200 payload.
+ENDPOINTS = {
+    "healthz": "GET",
+    "stats": "GET",
+    "allocate": "POST",
+    "batch": "POST",
+    "delta": "POST",
+}
+
+#: Route table entry: (HTTP method, handler).
+Route = Tuple[str, Callable[..., Awaitable[Dict[str, Any]]]]
 
 
 class HttpError(Exception):
@@ -88,7 +96,7 @@ class HttpError(Exception):
 
 
 class HttpServerBase:
-    """Asyncio HTTP/JSON server core; subclasses supply the routes."""
+    """Asyncio HTTP/JSON server core; subclasses supply the handlers."""
 
     def __init__(
         self,
@@ -100,14 +108,14 @@ class HttpServerBase:
         self.port = port
         self.max_body_bytes = max_body_bytes
         self._server: Optional[asyncio.AbstractServer] = None
+        self._routes: Dict[str, Route] = {
+            f"/v1/{name}": (method, getattr(self, f"_handle_{name}"))
+            for name, method in ENDPOINTS.items()
+        }
 
     # ------------------------------------------------------------------
     # subclass hooks
     # ------------------------------------------------------------------
-    def routes(self) -> Dict[str, Route]:
-        """Path -> (method, handler, fixed extra response headers)."""
-        raise NotImplementedError
-
     async def _on_start(self) -> None:
         """Called once the listening socket is bound."""
 
@@ -148,13 +156,10 @@ class HttpServerBase:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        headers: Optional[Mapping[str, str]] = None
         try:
             try:
                 method, path, body = await self._read_request(reader)
-                status, payload, headers = await self._dispatch(
-                    method, path, body
-                )
+                status, payload = 200, await self._dispatch(method, path, body)
             except HttpError as exc:
                 status, payload = exc.status, error_to_dict(
                     exc.status, exc.message, error_code=exc.error_code
@@ -163,7 +168,7 @@ class HttpServerBase:
                 status, payload = 500, error_to_dict(
                     500, f"{type(exc).__name__}: {exc}"
                 )
-            await self._write_response(writer, status, payload, headers)
+            await self._write_response(writer, status, payload)
         except (ConnectionError, asyncio.IncompleteReadError):
             pass  # client went away; nothing to answer
         finally:
@@ -176,7 +181,7 @@ class HttpServerBase:
     async def _read_request(
         self, reader: asyncio.StreamReader
     ) -> Tuple[str, str, bytes]:
-        request_line = await reader.readline()
+        request_line = await _read_line(reader)
         parts = request_line.decode("latin-1").split()
         if len(parts) != 3:
             raise HttpError(400, f"malformed request line: {request_line!r}")
@@ -184,16 +189,16 @@ class HttpServerBase:
         path = target.split("?", 1)[0]
         content_length = 0
         while True:
-            line = await reader.readline()
+            line = await _read_line(reader)
             if line in (b"\r\n", b"\n", b""):
                 break
             name, _, value = line.decode("latin-1").partition(":")
             if name.strip().lower() == "content-length":
-                try:
-                    content_length = int(value.strip())
-                except ValueError:
-                    raise HttpError(400, "bad Content-Length") from None
-        if content_length < 0 or content_length > self.max_body_bytes:
+                text = value.strip()
+                if not (text.isascii() and text.isdigit()):
+                    raise HttpError(400, f"bad Content-Length: {text!r}")
+                content_length = int(text)
+        if content_length > self.max_body_bytes:
             raise HttpError(
                 413, f"body of {content_length} bytes exceeds the "
                      f"{self.max_body_bytes}-byte limit"
@@ -210,41 +215,54 @@ class HttpServerBase:
         writer: asyncio.StreamWriter,
         status: int,
         payload: Dict[str, Any],
-        extra_headers: Optional[Mapping[str, str]] = None,
     ) -> None:
         body = json.dumps(payload, sort_keys=True).encode("utf-8")
-        lines = [
-            f"HTTP/1.1 {status} {_STATUS_TEXT.get(status, 'Unknown')}",
-            "Content-Type: application/json",
-            f"Content-Length: {len(body)}",
-        ]
-        for name, value in (extra_headers or {}).items():
-            lines.append(f"{name}: {value}")
-        lines.append("Connection: close")
-        head = ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
+        head = (
+            f"HTTP/1.1 {status} {_STATUS_TEXT.get(status, 'Unknown')}\r\n"
+            f"Content-Type: application/json\r\n"
+            f"Content-Length: {len(body)}\r\n"
+            f"Connection: close\r\n\r\n"
+        ).encode("latin-1")
         writer.write(head + body)
         await writer.drain()
 
     async def _dispatch(
         self, method: str, path: str, body: bytes
-    ) -> Tuple[int, Dict[str, Any], Optional[Mapping[str, str]]]:
-        routes = self.routes()
-        route = routes.get(path)
+    ) -> Dict[str, Any]:
+        route = self._routes.get(path)
         if route is None:
             raise HttpError(
-                404, f"unknown path {path!r}; endpoints: {sorted(routes)}"
+                404, f"unknown path {path!r}; endpoints: {sorted(self._routes)}"
             )
-        expected, handler, headers = route
+        expected, handler = route
         if method != expected:
             raise HttpError(405, f"{path} expects {expected}, got {method}")
-        status, payload = await handler(body)
-        return status, payload, headers
+        if method == "GET":
+            payload = await handler()
+        else:
+            payload = await handler(_parse_body(body))
+        payload["schema_version"] = SCHEMA_VERSION
+        return payload
 
-    def _parse_json(self, body: bytes) -> Any:
-        try:
-            return json.loads(body.decode("utf-8"))
-        except (UnicodeDecodeError, ValueError) as exc:
-            raise HttpError(400, f"request body is not JSON: {exc}") from None
+
+async def _read_line(reader: asyncio.StreamReader) -> bytes:
+    try:
+        return await reader.readline()
+    except ValueError:  # no newline within the reader's buffer limit
+        raise HttpError(400, "request line or header line too long") from None
+
+
+def _parse_body(body: bytes) -> Any:
+    """A POST body as JSON, refusing versions this package does not speak."""
+    try:
+        data = json.loads(body.decode("utf-8"))
+    except (UnicodeDecodeError, ValueError) as exc:
+        raise HttpError(400, f"request body is not JSON: {exc}") from None
+    try:
+        check_schema_version(data)
+    except ValueError as exc:
+        raise HttpError(400, str(exc)) from None
+    return data
 
 
 async def fetch_json(

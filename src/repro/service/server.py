@@ -17,16 +17,11 @@ over five endpoints, versioned under ``/v1``:
   ``/v1/allocate`` of the edited problem, with the warm-start strategy
   in its non-canonical ``delta`` field;
 * ``GET /v1/healthz`` -- liveness + version + supported
-  ``schema_versions`` (what :class:`~repro.service.ServiceClient`
-  negotiates against);
+  ``schema_versions``;
 * ``GET /v1/stats`` -- cache hit rate, in-flight/queued counts,
   p50/p95 latency, executor counters (see ``AsyncEngine.stats``).
 
-The original unversioned paths (``/allocate``, ``/batch``, ``/delta``,
-``/healthz``, ``/stats``) keep working through a deprecation shim: same
-handlers, pre-v1 response bodies (no ``schema_version``/``content_key``
-extras), plus a ``Deprecation: true`` response header pointing clients
-at ``/v1``.
+Every response body carries ``schema_version``; any other path is a 404.
 
 Failed solves are *successful HTTP responses*: infeasibility, timeouts,
 validation failures and crashed workers all come back as ``error``
@@ -46,8 +41,7 @@ tests, benchmarks and notebooks.
 from __future__ import annotations
 
 import asyncio
-import functools
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, TypeVar
 
 from .. import __version__
 from ..engine import Engine
@@ -57,11 +51,9 @@ from ..io.json_io import (
     allocation_result_to_dict,
 )
 from ..io.service import (
-    SCHEMA_VERSION,
     SUPPORTED_SCHEMA_VERSIONS,
     batch_request_from_dict,
     batch_results_to_dict,
-    check_schema_version,
     delta_request_from_dict,
 )
 from .async_engine import AsyncEngine
@@ -69,17 +61,20 @@ from .http import (
     DEFAULT_MAX_BODY_BYTES,
     HttpError,
     HttpServerBase,
-    Route,
     ServerThreadBase,
 )
 
 __all__ = ["AllocationServer", "ServerThread"]
 
-#: Fixed response headers the unversioned shim attaches.
-DEPRECATION_HEADERS = {
-    "Deprecation": "true",
-    "Link": '</v1/>; rel="successor-version"',
-}
+T = TypeVar("T")
+
+
+def _parse(parser: Callable[[Any], T], kind: str, data: Any) -> T:
+    """Deserialise a request body, refusing a malformed one with a 400."""
+    try:
+        return parser(data)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise HttpError(400, f"bad {kind}: {exc}") from None
 
 
 class AllocationServer(HttpServerBase):
@@ -118,127 +113,62 @@ class AllocationServer(HttpServerBase):
         self.async_engine.close()
 
     # ------------------------------------------------------------------
-    # routing
+    # endpoints (routed by HttpServerBase)
     # ------------------------------------------------------------------
-    def routes(self) -> Dict[str, Route]:
-        endpoints = {
-            "/healthz": ("GET", self._handle_healthz),
-            "/stats": ("GET", self._handle_stats),
-            "/allocate": ("POST", self._handle_allocate),
-            "/batch": ("POST", self._handle_batch),
-            "/delta": ("POST", self._handle_delta),
-        }
-        table: Dict[str, Route] = {}
-        for path, (method, handler) in endpoints.items():
-            table[f"/v1{path}"] = (
-                method, functools.partial(handler, v1=True), None,
-            )
-            # Deprecation shim: the pre-v1 paths answer with the pre-v1
-            # body shape and a Deprecation header.
-            table[path] = (method, handler, DEPRECATION_HEADERS)
-        return table
-
-    def _check_version(self, data: Any) -> None:
-        try:
-            check_schema_version(data)
-        except ValueError as exc:
-            raise HttpError(400, str(exc)) from None
-
-    # ------------------------------------------------------------------
-    # endpoints
-    # ------------------------------------------------------------------
-    async def _handle_healthz(
-        self, _body: bytes, v1: bool = False
-    ) -> Tuple[int, Dict[str, Any]]:
-        payload: Dict[str, Any] = {
+    async def _handle_healthz(self) -> Dict[str, Any]:
+        return {
             "kind": "service-health",
             "status": "ok",
             "version": __version__,
             "role": "worker",
-            # Advertised on the legacy path too: negotiation must work
-            # before the client knows the server speaks v1.
             "schema_versions": list(SUPPORTED_SCHEMA_VERSIONS),
         }
-        if v1:
-            payload["schema_version"] = SCHEMA_VERSION
-        return 200, payload
 
-    async def _handle_stats(
-        self, _body: bytes, v1: bool = False
-    ) -> Tuple[int, Dict[str, Any]]:
+    async def _handle_stats(self) -> Dict[str, Any]:
         # stats() takes the cache lock (first use may still scan the
         # directory to build the manifest view): run it on the default
         # thread pool -- not the bounded solve pool, which may be
         # saturated by long solves -- so a /stats poller never stalls
         # the event loop.
         loop = asyncio.get_running_loop()
-        payload = await loop.run_in_executor(None, self.async_engine.stats)
-        if v1:
-            payload["schema_version"] = SCHEMA_VERSION
-        return 200, payload
+        return await loop.run_in_executor(None, self.async_engine.stats)
 
-    async def _handle_allocate(
-        self, body: bytes, v1: bool = False
-    ) -> Tuple[int, Dict[str, Any]]:
-        data = self._parse_json(body)
-        self._check_version(data)
-        try:
-            request = allocation_request_from_dict(data)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise HttpError(400, f"bad allocation-request: {exc}") from None
+    async def _handle_allocate(self, data: Any) -> Dict[str, Any]:
+        request = _parse(allocation_request_from_dict, "allocation-request", data)
         result = await self.async_engine.run(request)
         payload = allocation_result_to_dict(result)
-        if v1:
-            payload["schema_version"] = SCHEMA_VERSION
-            # The authoritative cache/memo key, computed server-side
-            # from the parsed problem -- never trusted from the client.
-            key = versioned_content_key(request_content_key(request))
-            if key is not None:
-                payload["content_key"] = key
-        return 200, payload
+        _attach_content_key(payload, request)
+        return payload
 
-    async def _handle_batch(
-        self, body: bytes, v1: bool = False
-    ) -> Tuple[int, Dict[str, Any]]:
-        data = self._parse_json(body)
-        self._check_version(data)
-        try:
-            requests = batch_request_from_dict(data)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise HttpError(
-                400, f"bad allocation-batch-request: {exc}"
-            ) from None
-        results = await self.async_engine.run_many(requests)
+    async def _handle_batch(self, data: Any) -> Dict[str, Any]:
+        requests = _parse(
+            batch_request_from_dict, "allocation-batch-request", data
+        )
+        results = await self.async_engine.run_batch(requests)
         payload = batch_results_to_dict(results)
-        if v1:
-            payload["schema_version"] = SCHEMA_VERSION
-            for request, entry in zip(requests, payload["results"]):
-                key = versioned_content_key(request_content_key(request))
-                if key is not None:
-                    entry["content_key"] = key
-        return 200, payload
+        for request, entry in zip(requests, payload["results"]):
+            _attach_content_key(entry, request)
+        return payload
 
-    async def _handle_delta(
-        self, body: bytes, v1: bool = False
-    ) -> Tuple[int, Dict[str, Any]]:
-        data = self._parse_json(body)
-        self._check_version(data)
-        try:
-            request = delta_request_from_dict(data)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise HttpError(400, f"bad delta-request: {exc}") from None
+    async def _handle_delta(self, data: Any) -> Dict[str, Any]:
+        request = _parse(delta_request_from_dict, "delta-request", data)
         result = await self.async_engine.run_delta(request)
-        payload = allocation_result_to_dict(result)
-        if v1:
-            payload["schema_version"] = SCHEMA_VERSION
-        return 200, payload
+        return allocation_result_to_dict(result)
+
+
+def _attach_content_key(payload: Dict[str, Any], request: Any) -> None:
+    """Add the authoritative cache/memo key, computed server-side from
+    the parsed problem -- never trusted from the client."""
+    key = versioned_content_key(request_content_key(request))
+    if key is not None:
+        payload["content_key"] = key
 
 
 class ServerThread(ServerThreadBase):
     """Run an :class:`AllocationServer` on a daemon thread.
 
-    Context manager used by the tests, ``benchmarks/bench_service.py``
-    and the docs fences: enter -> server is bound and healthy (``.url``
+    Context manager used by the tests, the benchmark and the docs
+    fences: enter -> server is bound and healthy (``.url``
     is live); exit -> server stopped, thread joined.  Constructor
     arguments are forwarded to :class:`AllocationServer`.
     """

@@ -49,14 +49,6 @@ def solver_report(refinement_speedup=1.8, binding_speedup=2.6,
     }
 
 
-def service_report(ratio=2.0, identical=True):
-    return {
-        "kind": "bench-service",
-        "results_identical": identical,
-        "throughput_ratio": ratio,
-    }
-
-
 def micro_report(chain_speedup=2.5, cover_speedup=30.0,
                  tracker_speedup=2.2, identical=True):
     return {
@@ -89,21 +81,6 @@ def delta_report(speedup=3.5, iterations=(40, 50), identical=True,
     }
 
 
-def fleet_report(ratio=1.8, identical=True, forwards=4, unique=4,
-                 shed_total=0):
-    return {
-        "kind": "bench-fleet",
-        "results_identical": identical,
-        "throughput_ratio": ratio,
-        "workers": 4,
-        "stream_requests": 160,
-        "unique_cases": unique,
-        "worker_forwards": forwards,
-        "zero_duplicate_solves": forwards == unique,
-        "dedup": {"shed_total": shed_total},
-    }
-
-
 @pytest.fixture
 def dirs(tmp_path):
     baseline = tmp_path / "baseline"
@@ -118,20 +95,15 @@ def write(directory, name, report):
 
 
 def write_all(baseline, fresh, fresh_solver=None, fresh_engine=None,
-              fresh_service=None, fresh_micro=None, fresh_delta=None,
-              fresh_fleet=None):
+              fresh_micro=None, fresh_delta=None):
     write(baseline, "engine", engine_report())
     write(baseline, "solver", solver_report())
-    write(baseline, "service", service_report())
     write(baseline, "micro", micro_report())
     write(baseline, "delta", delta_report())
-    write(baseline, "fleet", fleet_report())
     write(fresh, "engine", fresh_engine or engine_report())
     write(fresh, "solver", fresh_solver or solver_report())
-    write(fresh, "service", fresh_service or service_report())
     write(fresh, "micro", fresh_micro or micro_report())
     write(fresh, "delta", fresh_delta or delta_report())
-    write(fresh, "fleet", fresh_fleet or fleet_report())
 
 
 def run(baseline, fresh, *extra):
@@ -145,14 +117,14 @@ class TestGatePasses:
         baseline, fresh = dirs
         write_all(baseline, fresh)
         assert run(baseline, fresh) == 0
-        assert "6 reports within the gate" in capsys.readouterr().out
+        assert "4 reports within the gate" in capsys.readouterr().out
 
     def test_faster_than_baseline_passes(self, dirs, capsys):
         baseline, fresh = dirs
         write_all(
             baseline, fresh,
             fresh_solver=solver_report(refinement_speedup=3.5),
-            fresh_service=service_report(ratio=5.0),
+            fresh_micro=micro_report(chain_speedup=5.0),
         )
         assert run(baseline, fresh) == 0
 
@@ -163,18 +135,8 @@ class TestGatePasses:
         big["workloads"][0]["cases"].append(
             {"label": "tgff-96-1", "iterations": 131}
         )
-        write(baseline, "engine", engine_report())
-        write(baseline, "solver", big)
-        write(baseline, "service", service_report())
-        write(baseline, "micro", micro_report())
-        write(baseline, "delta", delta_report())
-        write(fresh, "engine", engine_report())
-        write(fresh, "solver", solver_report())  # lacks tgff-96-1
-        write(fresh, "service", service_report())
-        write(fresh, "micro", micro_report())
-        write(fresh, "delta", delta_report())
-        write(baseline, "fleet", fleet_report())
-        write(fresh, "fleet", fleet_report())
+        write_all(baseline, fresh)
+        write(baseline, "solver", big)  # fresh lacks tgff-96-1
         assert run(*dirs) == 0
 
     def test_new_fresh_case_is_not_a_failure(self, dirs):
@@ -247,15 +209,6 @@ class TestGateFails:
         assert run(baseline, fresh) == 1
         assert "[FAIL] engine.cache_hit_speedup" in capsys.readouterr().out
 
-    def test_service_below_serial_throughput_fails(self, dirs, capsys):
-        baseline, fresh = dirs
-        write_all(
-            baseline, fresh,
-            fresh_service=service_report(ratio=0.8),
-        )
-        assert run(baseline, fresh) == 1
-        assert "[FAIL] service.throughput_ratio" in capsys.readouterr().out
-
     def test_missing_fresh_report_fails(self, dirs, capsys):
         baseline, fresh = dirs
         write_all(baseline, fresh)
@@ -315,18 +268,8 @@ class TestGateFails:
         big["workloads"][0]["cases"].append(
             {"label": "tgff-96-1", "iterations": 131}
         )
-        write(baseline, "engine", engine_report())
+        write_all(baseline, fresh)
         write(baseline, "solver", big)
-        write(baseline, "service", service_report())
-        write(baseline, "micro", micro_report())
-        write(baseline, "delta", delta_report())
-        write(fresh, "engine", engine_report())
-        write(fresh, "solver", solver_report())
-        write(fresh, "service", service_report())
-        write(fresh, "micro", micro_report())
-        write(fresh, "delta", delta_report())
-        write(baseline, "fleet", fleet_report())
-        write(fresh, "fleet", fleet_report())
         assert run(baseline, fresh) == 0
         out = capsys.readouterr().out
         assert "1 of 3 committed case labels not in the fresh report" in out
@@ -459,42 +402,6 @@ class TestDeltaGate:
         assert "[FAIL] delta.refinement-heavy" in capsys.readouterr().out
 
 
-class TestFleetGate:
-    def test_ratio_below_hard_floor_fails(self, dirs, capsys):
-        baseline, fresh = dirs
-        write_all(baseline, fresh, fresh_fleet=fleet_report(ratio=1.2))
-        assert run(baseline, fresh) == 1
-        assert "[FAIL] fleet.throughput_ratio" in capsys.readouterr().out
-
-    def test_duplicate_solve_reaching_a_worker_fails(self, dirs, capsys):
-        baseline, fresh = dirs
-        write_all(baseline, fresh, fresh_fleet=fleet_report(forwards=7))
-        assert run(baseline, fresh) == 1
-        out = capsys.readouterr().out
-        assert "[FAIL] fleet.zero_duplicate_solves" in out
-        assert "7 forwards for 4 unique" in out
-
-    def test_envelope_divergence_fails(self, dirs, capsys):
-        baseline, fresh = dirs
-        write_all(
-            baseline, fresh, fresh_fleet=fleet_report(identical=False)
-        )
-        assert run(baseline, fresh) == 1
-        assert "[FAIL] fleet.results_identical" in capsys.readouterr().out
-
-    def test_shedding_during_stream_fails(self, dirs, capsys):
-        baseline, fresh = dirs
-        write_all(baseline, fresh, fresh_fleet=fleet_report(shed_total=3))
-        assert run(baseline, fresh) == 1
-        assert "[FAIL] fleet.no_shedding" in capsys.readouterr().out
-
-    def test_min_fleet_ratio_flag_raises_the_floor(self, dirs, capsys):
-        baseline, fresh = dirs
-        write_all(baseline, fresh)  # 1.8x on both sides
-        assert run(baseline, fresh, "--min-fleet-ratio", "2.5") == 1
-        assert "[FAIL] fleet.throughput_ratio" in capsys.readouterr().out
-
-
 class TestCliShapes:
     def test_no_paths_is_usage_error(self, capsys):
         assert check_bench.main([]) == 2
@@ -516,4 +423,4 @@ class TestCliShapes:
         assert check_bench.main([
             "--baseline-dir", str(repo), "--fresh-dir", str(repo),
         ]) == 0
-        assert "6 reports within the gate" in capsys.readouterr().out
+        assert "4 reports within the gate" in capsys.readouterr().out

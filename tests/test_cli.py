@@ -270,9 +270,8 @@ class TestParser:
 
 
 class TestServiceFlagConsolidation:
-    """Satellite 3: one --url/--http-timeout/--priority surface across
-    allocate/compare/batch/delta, with deprecated aliases mapping
-    through (warning once)."""
+    """One --url/--http-timeout/--priority surface across
+    allocate/compare/batch/delta."""
 
     def make_server(self):
         from repro.engine import Engine
@@ -333,25 +332,6 @@ class TestServiceFlagConsolidation:
     def test_priority_rejects_unknown_class(self):
         with pytest.raises(SystemExit):
             main(["allocate", "fir", "--priority", "vip"])
-
-    def test_submit_alias_warns_exactly_once(self, tmp_path, capsys):
-        from repro import cli as cli_module
-
-        cli_module._DEPRECATION_WARNED.clear()
-        with self.make_server() as st:
-            assert main([
-                "submit", "fir", "--methods", "dpalloc", "--relax", "0.5",
-                "--url", st.url,
-            ]) == 0
-            first = capsys.readouterr().err
-            assert main([
-                "submit", "fir", "--methods", "dpalloc", "--relax", "0.5",
-                "--url", st.url,
-            ]) == 0
-            second = capsys.readouterr().err
-        assert "submit is deprecated" in first
-        assert "batch --url" in first
-        assert "deprecated" not in second  # warned once per process
 
     def test_shared_cache_dir_requires_cache_dir(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as excinfo:

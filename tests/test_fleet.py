@@ -520,7 +520,6 @@ class TestCoordinatorSurface:
 
                 forged = allocate_request_payload(
                     AllocationRequest(liar_problem, "dpalloc", label="liar"),
-                    schema_version=1,
                 )
                 forged["fingerprint"] = honest.problem.fingerprint()
                 client._request("POST", "/v1/allocate", forged)
@@ -535,6 +534,47 @@ class TestCoordinatorSurface:
                 served = client.run(honest)
         offline = Engine().run(honest)
         assert served.canonical_json() == offline.canonical_json()
+
+    def test_forged_hint_cannot_poison_the_single_flight(self):
+        """An honest request arriving while a liar's forward -- the
+        liar's problem under the honest fingerprint -- is in flight
+        must not be served the liar's envelope: the worker-reported
+        key does not match, so it forwards its own request."""
+        from repro.io.service import allocate_request_payload
+
+        @register_allocator("test-fleet-poison")
+        def slow(problem, **options):
+            time.sleep(0.6)
+            return get_allocator("dpalloc")(problem)
+
+        honest = AllocationRequest(
+            make_problem(0.4), "test-fleet-poison", label="honest"
+        )
+        forged = allocate_request_payload(AllocationRequest(
+            make_problem(0.8), "test-fleet-poison", label="liar"
+        ))
+        forged["fingerprint"] = honest.problem.fingerprint()
+        try:
+            offline = Engine().run(honest)
+            with ServerThread(engine=Engine(), max_concurrency=2) as worker:
+                with FleetThread(worker_urls=[worker.url]) as fleet:
+                    client = ServiceClient(fleet.url)
+                    client.wait_healthy()
+                    liar = threading.Thread(
+                        target=ServiceClient(fleet.url)._request,
+                        args=("POST", "/v1/allocate", forged),
+                    )
+                    liar.start()
+                    time.sleep(0.2)  # the forged forward is in flight
+                    served = client.run(honest)
+                    liar.join(timeout=30)
+                    assert not liar.is_alive()
+                    stats = client.stats()
+        finally:
+            unregister_allocator("test-fleet-poison")
+        assert served.canonical_json() == offline.canonical_json()
+        assert stats["deduplicated"] == 0
+        assert sum(w["forwards"] for w in stats["workers"]) == 2
 
     def test_in_process_coordinator_loop_stays_responsive(self):
         """healthz answers while a solve is in flight (no blocking IO

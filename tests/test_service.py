@@ -26,7 +26,10 @@ from repro.engine import (
     unregister_allocator,
 )
 from repro.gen.workloads import fir_filter, motivational_example
+from repro.io.json_io import allocation_result_from_dict
 from repro.io.service import (
+    SCHEMA_VERSION,
+    allocate_request_payload,
     batch_request_from_dict,
     batch_request_to_dict,
     batch_results_from_dict,
@@ -35,10 +38,12 @@ from repro.io.service import (
 )
 from repro.service import (
     AsyncEngine,
+    FleetThread,
     ServerThread,
     ServiceClient,
     ServiceError,
 )
+from repro.service.primitives import latency_summary, nearest_rank
 
 fork_only = pytest.mark.skipif(
     multiprocessing.get_start_method() != "fork",
@@ -58,6 +63,22 @@ def make_request(label=None, relax=0.5, allocator="dpalloc", timeout=None):
     return AllocationRequest(
         make_problem(relax), allocator, label=label, timeout=timeout
     )
+
+
+def raw_exchange(port, request):
+    """Send raw request bytes; return the response's (status, JSON body)."""
+    import socket
+
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+        sock.sendall(request)
+        chunks = []
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                break
+            chunks.append(chunk)
+    head, _, body = b"".join(chunks).partition(b"\r\n\r\n")
+    return int(head.split()[1]), json.loads(body.decode())
 
 
 # ----------------------------------------------------------------------
@@ -128,7 +149,7 @@ class TestAsyncEngine:
         served = asyncio.run(go())
         assert served.canonical_json() == offline.canonical_json()
 
-    def test_run_many_preserves_request_order(self):
+    def test_run_batch_preserves_request_order(self):
         requests = [
             make_request("r0", relax=0.4),
             make_request("r1", relax=0.6, allocator="uniform"),
@@ -139,7 +160,7 @@ class TestAsyncEngine:
         async def go():
             engine = AsyncEngine(Engine(), max_concurrency=3)
             try:
-                return await engine.run_many(requests)
+                return await engine.run_batch(requests)
             finally:
                 engine.close()
 
@@ -174,7 +195,7 @@ class TestAsyncEngine:
             async def go():
                 engine = AsyncEngine(Engine(), max_concurrency=2)
                 try:
-                    return await engine.run_many(requests)
+                    return await engine.run_batch(requests)
                 finally:
                     engine.close()
 
@@ -204,7 +225,7 @@ class TestAsyncEngine:
             async def go():
                 engine = AsyncEngine(Engine(), max_concurrency=4)
                 try:
-                    results = await engine.run_many(requests)
+                    results = await engine.run_batch(requests)
                     return results, engine.stats()
                 finally:
                     engine.close()
@@ -240,7 +261,7 @@ class TestAsyncEngine:
             async def go():
                 engine = AsyncEngine(Engine(), max_concurrency=2)
                 try:
-                    return await engine.run_many(requests)
+                    return await engine.run_batch(requests)
                 finally:
                     engine.close()
 
@@ -285,6 +306,34 @@ class TestAsyncEngine:
             AsyncEngine(Engine(), max_concurrency=0)
 
 
+class TestLatencyPercentiles:
+    """``/v1/stats`` percentiles are nearest-rank, not one rank high."""
+
+    @pytest.mark.parametrize("n, fraction, expected", [
+        (1, 0.50, 1), (1, 0.95, 1),
+        (2, 0.50, 1), (2, 0.95, 2),
+        (20, 0.50, 10), (20, 0.95, 19),
+        (100, 0.50, 50), (100, 0.95, 95),
+    ])
+    def test_nearest_rank(self, n, fraction, expected):
+        assert nearest_rank([float(i) for i in range(1, n + 1)], fraction) \
+            == expected
+
+    def test_empty_window_has_no_percentiles(self):
+        assert nearest_rank([], 0.5) is None
+        assert latency_summary([]) == {
+            "latency_p50_seconds": None,
+            "latency_p95_seconds": None,
+            "latency_window": 0,
+        }
+
+    def test_summary_sorts_its_window(self):
+        summary = latency_summary([0.3, 0.1, 0.2, 0.4])
+        assert summary["latency_p50_seconds"] == 0.2
+        assert summary["latency_p95_seconds"] == 0.4
+        assert summary["latency_window"] == 4
+
+
 # ----------------------------------------------------------------------
 # HTTP server + client
 # ----------------------------------------------------------------------
@@ -308,7 +357,7 @@ class TestHttpEndpoints:
         with ServerThread(engine=Engine(), max_concurrency=2) as st:
             client = ServiceClient(st.url)
             client.wait_healthy()
-            served = client.allocate(request)
+            served = client.run(request)
         assert served.canonical_json() == offline.canonical_json()
         assert served.label == "wire"
 
@@ -322,7 +371,7 @@ class TestHttpEndpoints:
         with ServerThread(engine=Engine(), max_concurrency=3) as st:
             client = ServiceClient(st.url)
             client.wait_healthy()
-            served = client.batch(requests)
+            served = client.run_batch(requests)
         assert [r.label for r in served] == ["b0", "b1", "b2"]
         assert [r.canonical_json() for r in served] == \
                [r.canonical_json() for r in offline]
@@ -335,22 +384,43 @@ class TestHttpEndpoints:
                 client._request("GET", "/nope")
             assert excinfo.value.status == 404
             with pytest.raises(ServiceError) as excinfo:
-                client._request("GET", "/allocate")
+                client._request("GET", "/v1/allocate")
             assert excinfo.value.status == 405
             with pytest.raises(ServiceError) as excinfo:
-                client._request("POST", "/allocate", {"kind": "garbage"})
+                client._request("POST", "/v1/allocate", {"kind": "garbage"})
             assert excinfo.value.status == 400
             # raw non-JSON body
             import urllib.request
 
             req = urllib.request.Request(
-                f"{st.url}/allocate", data=b"not json", method="POST"
+                f"{st.url}/v1/allocate", data=b"not json", method="POST"
             )
             with pytest.raises(urllib.error.HTTPError) as raw:
                 urllib.request.urlopen(req, timeout=10)
             assert raw.value.code == 400
             payload = json.loads(raw.value.read().decode())
             assert payload["kind"] == "service-error"
+            # Framing errors are the client's: 400, never 413 or 500.
+            port = st.server.port
+            long_line = b"x" * (70 * 1024)
+            for request in (
+                b"POST /v1/allocate HTTP/1.1\r\nContent-Length: -5\r\n\r\n",
+                b"GET /v1/" + long_line + b" HTTP/1.1\r\n\r\n",
+                b"GET /v1/healthz HTTP/1.1\r\nX-Pad: " + long_line
+                + b"\r\n\r\n",
+            ):
+                status, payload = raw_exchange(port, request)
+                assert status == 400, (request[:40], payload)
+                assert payload["kind"] == "service-error"
+            # The pre-v1 unversioned paths are gone, on both daemons.
+            with FleetThread(worker_urls=[st.url]) as fleet:
+                for url in (st.url, fleet.url):
+                    with pytest.raises(ServiceError) as excinfo:
+                        ServiceClient(url)._request(
+                            "POST", "/allocate",
+                            allocate_request_payload(make_request()),
+                        )
+                    assert excinfo.value.status == 404
 
     def test_solver_failure_is_an_envelope_not_an_http_error(self):
         # An infeasible problem: tightest possible latency.
@@ -360,47 +430,18 @@ class TestHttpEndpoints:
         with ServerThread(engine=Engine(), max_concurrency=1) as st:
             client = ServiceClient(st.url)
             client.wait_healthy()
-            result = client.allocate(AllocationRequest(tight, "dpalloc"))
+            result = client.run(AllocationRequest(tight, "dpalloc"))
         assert not result.ok
         assert result.error is not None
         assert result.datapath is None
 
-    def test_submit_cli_round_trip(self, tmp_path, capsys):
-        out = tmp_path / "served.json"
-        with ServerThread(engine=Engine(), max_concurrency=2) as st:
-            rc = main([
-                "submit", "fir", "--methods", "dpalloc,uniform",
-                "--relax", "0.5", "--url", st.url, "--json", str(out),
-            ])
-        assert rc == 0
-        captured = capsys.readouterr()
-        assert "served by" in captured.out
-        payload = json.loads(out.read_text())
-        assert payload["kind"] == "allocation-batch"
-        served = batch_results_from_dict(payload)
-        # canonical-byte parity with the offline batch path
-        problem = make_problem()
-        offline = Engine().run_batch([
-            AllocationRequest(problem, "dpalloc", label="fir"),
-            AllocationRequest(problem, "uniform", label="fir"),
-        ])
-        assert [r.canonical_json() for r in served] == \
-               [r.canonical_json() for r in offline]
-
-    def test_submit_cli_unreachable_service(self, capsys):
-        from repro import cli as cli_module
-
-        cli_module._DEPRECATION_WARNED.clear()  # warning fires once/process
+    def test_batch_url_unreachable_service(self, capsys):
         rc = main([
-            "submit", "fir", "--methods", "uniform",
+            "batch", "fir", "--methods", "uniform",
             "--url", "http://127.0.0.1:1",  # reserved port: nothing listens
         ])
         assert rc == 2
-        err = capsys.readouterr().err
-        # submit is a deprecated alias of `batch --url` now: it warns
-        # once and fails with the batch spelling of the error.
-        assert "submit is deprecated" in err
-        assert "batch --url failed" in err
+        assert "batch --url failed" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------------
@@ -429,7 +470,7 @@ class TestConcurrentAccess:
 
                 def client_call(slot):
                     client = ServiceClient(st.url)
-                    results[slot] = client.allocate(AllocationRequest(
+                    results[slot] = client.run(AllocationRequest(
                         make_problem(), "test-svc-slow", label=f"c{slot}",
                     ))
 
@@ -470,7 +511,7 @@ class TestConcurrentAccess:
         with ServerThread(engine=engine, max_concurrency=4) as st:
             client = ServiceClient(st.url)
             client.wait_healthy()
-            served = client.batch(requests)
+            served = client.run_batch(requests)
         assert all(r.ok for r in served)
         manifest = json.loads((cache_dir / "manifest.json").read_text())
         assert manifest["kind"] == "cache-manifest"
@@ -490,7 +531,7 @@ class TestConcurrentAccess:
                 client = ServiceClient(st.url, timeout=30.0)
                 client.wait_healthy()
                 began = time.perf_counter()
-                result = client.allocate(
+                result = client.run(
                     AllocationRequest(make_problem(), "test-svc-crash")
                 )
                 elapsed = time.perf_counter() - began
@@ -515,7 +556,7 @@ class TestConcurrentAccess:
                 client = ServiceClient(st.url, timeout=30.0)
                 client.wait_healthy()
                 began = time.perf_counter()
-                result = client.allocate(
+                result = client.run(
                     AllocationRequest(make_problem(), "test-svc-hang")
                 )
                 elapsed = time.perf_counter() - began
@@ -538,10 +579,10 @@ class TestDeltaEndpoint:
         with ServerThread(engine=Engine(), max_concurrency=2) as st:
             client = ServiceClient(st.url)
             client.wait_healthy()
-            primed = client.delta(DeltaRequest(
+            primed = client.run_delta(DeltaRequest(
                 edits=(), base_problem=problem, label="prime"
             ))
-            warm = client.delta(DeltaRequest(
+            warm = client.run_delta(DeltaRequest(
                 edits=(DeadlineEdit(lam + 1),),
                 base_fingerprint=problem.fingerprint(),
             ))
@@ -557,7 +598,7 @@ class TestDeltaEndpoint:
         with ServerThread(engine=Engine(), max_concurrency=1) as st:
             client = ServiceClient(st.url)
             client.wait_healthy()
-            result = client.delta(DeltaRequest(
+            result = client.run_delta(DeltaRequest(
                 edits=(), base_fingerprint="deadbeef"
             ))
         assert (result.delta or {}).get("strategy") == "error"
@@ -568,7 +609,7 @@ class TestDeltaEndpoint:
             client = ServiceClient(st.url)
             client.wait_healthy()
             with pytest.raises(ServiceError) as excinfo:
-                client._request("POST", "/delta", {
+                client._request("POST", "/v1/delta", {
                     "kind": "delta-request", "edits": "latency=9",
                 })
             assert excinfo.value.status == 400
@@ -576,45 +617,15 @@ class TestDeltaEndpoint:
 
 
 class TestSchemaVersioning:
-    """Satellite 1: versioned v1 surface + unversioned deprecation shim."""
+    """The one versioned wire surface: ``/v1`` with ``schema_version``."""
 
-    def test_legacy_paths_carry_deprecation_header(self):
-        import urllib.request
-
-        with ServerThread(engine=Engine(), max_concurrency=1) as st:
-            ServiceClient(st.url).wait_healthy()
-            with urllib.request.urlopen(
-                f"{st.url}/healthz", timeout=10
-            ) as resp:
-                legacy_headers = dict(resp.headers)
-            with urllib.request.urlopen(
-                f"{st.url}/v1/healthz", timeout=10
-            ) as resp:
-                v1_headers = dict(resp.headers)
-        assert legacy_headers.get("Deprecation") == "true"
-        assert "successor-version" in legacy_headers.get("Link", "")
-        assert "Deprecation" not in v1_headers
-
-    def test_client_negotiates_and_pins_v1(self):
+    def test_client_speaks_v1(self):
         with ServerThread(engine=Engine(), max_concurrency=1) as st:
             client = ServiceClient(st.url)
-            client.wait_healthy()
-            assert client.schema_version == 1
-            assert client._path("/allocate") == "/v1/allocate"
-
-    def test_client_pinned_to_legacy_uses_unversioned_paths(self):
-        with ServerThread(engine=Engine(), max_concurrency=1) as st:
-            client = ServiceClient(st.url, schema_version=0)
-            client.wait_healthy()
-            assert client._path("/allocate") == "/allocate"
-            request = make_request("legacy")
-            served = client.run(request)
-        offline = Engine().run(request)
-        assert served.canonical_json() == offline.canonical_json()
-
-    def test_client_rejects_unknown_schema_version(self):
-        with pytest.raises(ValueError, match="schema_version"):
-            ServiceClient("http://127.0.0.1:1", schema_version=99)
+            health = client.wait_healthy()
+        assert client.schema_version == SCHEMA_VERSION == 1
+        assert health["schema_version"] == 1
+        assert health["schema_versions"] == [1]
 
     def test_server_refuses_unsupported_schema_version(self):
         from repro.io import allocation_request_to_dict
@@ -634,7 +645,6 @@ class TestSchemaVersioning:
             request_content_key,
             versioned_content_key,
         )
-        from repro.io.service import allocate_request_payload
 
         request = make_request("keyed")
         expected = versioned_content_key(request_content_key(request))
@@ -642,36 +652,20 @@ class TestSchemaVersioning:
             client = ServiceClient(st.url)
             client.wait_healthy()
             v1 = client._request(
-                "POST", "/v1/allocate", allocate_request_payload(request, 1)
-            )
-            legacy = client._request(
-                "POST", "/allocate", allocate_request_payload(request)
+                "POST", "/v1/allocate", allocate_request_payload(request)
             )
         assert v1["content_key"] == expected
         assert v1["schema_version"] == 1
         # extra wire fields never reach the parsed envelope / canonical
-        # bytes, and the legacy dialect stays byte-compatible
-        assert "content_key" not in legacy
-        assert "schema_version" not in legacy
+        # bytes
+        assert "content_key" not in allocation_result_from_dict(v1) \
+            .canonical_json()
 
-    def test_request_payload_carries_fingerprint_hint_only_on_v1(self):
-        from repro.io.service import allocate_request_payload
-
+    def test_request_payload_carries_version_and_fingerprint_hint(self):
         request = make_request("hinted")
-        v1 = allocate_request_payload(request, 1)
-        assert v1["schema_version"] == 1
-        assert v1["fingerprint"] == request.problem.fingerprint()
-        legacy = allocate_request_payload(request)
-        assert "schema_version" not in legacy
-        assert "fingerprint" not in legacy
-
-    def test_both_dialects_produce_identical_envelopes(self):
-        request = make_request("dialects")
-        with ServerThread(engine=Engine(), max_concurrency=1) as st:
-            ServiceClient(st.url).wait_healthy()
-            modern = ServiceClient(st.url, schema_version=1).run(request)
-            legacy = ServiceClient(st.url, schema_version=0).run(request)
-        assert modern.canonical_json() == legacy.canonical_json()
+        payload = allocate_request_payload(request)
+        assert payload["schema_version"] == 1
+        assert payload["fingerprint"] == request.problem.fingerprint()
 
 
 class TestBackendProtocol:
@@ -700,7 +694,7 @@ class TestBackendProtocol:
         assert [r.canonical_json() for r in served] == \
                [r.canonical_json() for r in offline]
 
-    def test_async_engine_run_batch_matches_run_many(self):
+    def test_async_engine_run_batch_ignores_workers_hint(self):
         requests = [make_request("a0", relax=0.4), make_request("a1")]
 
         async def go():
@@ -729,7 +723,7 @@ class TestServedTraceTelemetry:
         with ServerThread(engine=Engine(), max_concurrency=2) as st:
             client = ServiceClient(st.url)
             client.wait_healthy()
-            served = client.allocate(request)
+            served = client.run(request)
         assert served.trace, "traced request lost its trace on the wire"
         passes = {"bind", "bounds", "check", "refine", "schedule"}
         for event in served.trace:
@@ -750,7 +744,7 @@ class TestServedTraceTelemetry:
         with ServerThread(engine=Engine(), max_concurrency=2) as st:
             client = ServiceClient(st.url)
             client.wait_healthy()
-            served = client.allocate(request)
+            served = client.run(request)
         canonical = json.loads(served.canonical_json())
         events = canonical["datapath"]["trace"]
         assert events, "canonical payload must keep the trace itself"
@@ -772,7 +766,7 @@ class TestServedTraceTelemetry:
             client = ServiceClient(st.url)
             client.wait_healthy()
             payload = client._request(
-                "POST", "/allocate", allocation_request_to_dict(request)
+                "POST", "/v1/allocate", allocation_request_to_dict(request)
             )
         events = payload["datapath"]["trace"]
         assert events

@@ -2,7 +2,7 @@
 """CI regression gate over the benchmark reports (the perf trajectory).
 
 Compares freshly-generated ``BENCH_engine.json`` / ``BENCH_solver.json``
-/ ``BENCH_service.json`` / ``BENCH_micro.json`` against the committed
+/ ``BENCH_micro.json`` / ``BENCH_delta.json`` against the committed
 baselines and fails when the trajectory regresses:
 
 * **solver families** (``refinement-heavy``, ``binding-heavy``): the
@@ -21,19 +21,11 @@ baselines and fails when the trajectory regresses:
   absolute floor (wall-clock ratios across CI hosts are too noisy for a
   relative bound; serving a hit thousands of times faster than solving
   degrades to "merely" ``--min-hit-speedup``x before the gate trips);
-* **service throughput**: the served ``/batch`` stream must sustain at
-  least ``--min-service-ratio`` (default 1.0) of the serial
-  ``Engine.run_batch`` throughput;
 * **kernel speedups**: every ``bench_micro.py`` kernel (``max_chain``,
   ``cover_probe``, ``tracker_ops``) must beat its in-process reference
   implementation by at least ``--min-kernel-ratio`` (default 1.0 -- the
   optimised kernel may never lose to the formulation it replaced) *and*
   must not fall below ``baseline * (1 - tolerance)``;
-* **fleet throughput** (``BENCH_fleet.json``): the coordinator over
-  its worker pool must serve the duplicate-heavy wave stream at >=
-  ``--min-fleet-ratio`` (default 1.5) the single-instance throughput,
-  with every envelope byte-identical to the offline run and zero
-  duplicate solves reaching the workers;
 * **delta warm starts** (``BENCH_delta.json``): every warm single-edit
   re-solve must be canonical-byte identical to its cold counterpart
   (a break fails the gate with the path of the replayable repro file
@@ -41,6 +33,9 @@ baselines and fails when the trajectory regresses:
   ``--min-delta-ratio`` (default 2.0) and >= ``baseline * (1 -
   tolerance)``, and per-case cold iteration counts must match the
   committed baseline exactly.
+
+The served path (``repro fleet`` over its workers) is measured and
+byte-checked by ``perfbench/run.py --workload served-mix``, not here.
 
 Relative *wall-clock* comparisons between the committed baseline (dev
 container) and the CI host are intentionally avoided everywhere except
@@ -62,7 +57,7 @@ import sys
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
-REPORTS = ("engine", "solver", "service", "micro", "delta", "fleet")
+REPORTS = ("engine", "solver", "micro", "delta")
 FILENAMES = {name: f"BENCH_{name}.json" for name in REPORTS}
 
 
@@ -202,22 +197,6 @@ def check_solver(gate: Gate, baseline: Dict, fresh: Dict, args) -> None:
         )
 
 
-def check_service(gate: Gate, baseline: Dict, fresh: Dict, args) -> None:
-    gate.check(
-        fresh.get("results_identical") is True,
-        "service.results_identical",
-        "served envelopes byte-identical to the serial run",
-    )
-    ratio = float(fresh.get("throughput_ratio", 0.0))
-    gate.check(
-        ratio >= args.min_service_ratio,
-        "service.throughput_ratio",
-        f"served /batch at {ratio:g}x serial run_batch throughput "
-        f"(floor {args.min_service_ratio:g}x; "
-        f"baseline {baseline.get('throughput_ratio', '?')}x)",
-    )
-
-
 def check_micro(gate: Gate, baseline: Dict, fresh: Dict, args) -> None:
     gate.check(
         fresh.get("results_identical") is True,
@@ -344,44 +323,11 @@ def check_delta(gate: Gate, baseline: Dict, fresh: Dict, args) -> None:
         )
 
 
-def check_fleet(gate: Gate, baseline: Dict, fresh: Dict, args) -> None:
-    gate.check(
-        fresh.get("results_identical") is True,
-        "fleet.results_identical",
-        "fleet envelopes byte-identical to offline Engine.run_batch",
-    )
-    gate.check(
-        fresh.get("zero_duplicate_solves") is True,
-        "fleet.zero_duplicate_solves",
-        f"workers saw {fresh.get('worker_forwards')} forwards for "
-        f"{fresh.get('unique_cases')} unique problems "
-        f"({fresh.get('stream_requests')} requests streamed)",
-    )
-    ratio = float(fresh.get("throughput_ratio", 0.0))
-    gate.check(
-        ratio >= args.min_fleet_ratio,
-        "fleet.throughput_ratio",
-        f"coordinator over {fresh.get('workers')} workers at {ratio:g}x "
-        f"single-instance throughput on the duplicate-heavy stream "
-        f"(floor {args.min_fleet_ratio:g}x; "
-        f"baseline {baseline.get('throughput_ratio', '?')}x)",
-    )
-    shed_total = int(fresh.get("dedup", {}).get("shed_total", 0))
-    gate.check(
-        shed_total == 0,
-        "fleet.no_shedding",
-        f"{shed_total} requests shed during the benchmark stream "
-        f"(the stream must fit the default queue limits)",
-    )
-
-
 CHECKERS = {
     "engine": ("bench-engine", check_engine),
     "solver": ("bench-solver", check_solver),
-    "service": ("bench-service", check_service),
     "micro": ("bench-micro", check_micro),
     "delta": ("bench-delta", check_delta),
-    "fleet": ("bench-fleet", check_fleet),
 }
 
 
@@ -425,21 +371,10 @@ def main(argv=None) -> int:
              "(default 25x)",
     )
     parser.add_argument(
-        "--min-service-ratio", type=float, default=1.0,
-        help="hard floor for served /batch throughput over serial "
-             "run_batch (default 1.0)",
-    )
-    parser.add_argument(
         "--min-delta-ratio", type=float, default=2.0,
         help="hard floor for the warm/cold delta re-solve speedup on "
              "every family (default 2.0: a warm single-edit re-solve "
              "must at least halve the cold solve time)",
-    )
-    parser.add_argument(
-        "--min-fleet-ratio", type=float, default=1.5,
-        help="hard floor for coordinator-over-workers throughput vs a "
-             "single server instance on the duplicate-heavy fleet "
-             "stream (default 1.5)",
     )
     parser.add_argument(
         "--min-kernel-ratio", type=float, default=1.0,
