@@ -483,18 +483,10 @@ def _cmd_batch(args) -> int:
     requests = _sweep_requests(args)
     if requests is None:
         return 2
-    backend = _backend(args)
+    results = _backend(args).run_batch(requests, workers=args.workers)
     if getattr(args, "url", None):
-        from .service import ServiceError
-
-        try:
-            results = backend.run_batch(requests, workers=args.workers)
-        except ServiceError as exc:
-            print(f"batch --url failed: {exc}", file=sys.stderr)
-            return 2
         title_suffix = f", served by {args.url}"
     else:
-        results = backend.run_batch(requests, workers=args.workers)
         title_suffix = f", {args.workers} workers" if args.workers else ""
 
     methods = sorted({r.allocator for r in results})
@@ -1039,7 +1031,16 @@ def main(argv=None) -> int:
         "serve": _cmd_serve,
         "fleet": _cmd_fleet,
     }
-    return handlers[args.command](args)
+    handler = handlers[args.command]
+    if not getattr(args, "url", None):
+        return handler(args)
+    from .service import ServiceError
+
+    try:
+        return handler(args)
+    except ServiceError as exc:
+        print(f"{args.command} --url failed: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

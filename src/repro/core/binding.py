@@ -30,15 +30,16 @@ kernel is a pure function of the candidate tuple and its members'
 :class:`ChainCache` across iterations and replays unchanged chains
 verbatim, invalidating only chains touching operations whose schedule
 position or latency bound the last refinement actually moved.
-``REPRO_SOLVER=scratch`` bypasses the cache; both paths are
-byte-identical by construction.
+``REPRO_SOLVER=scratch`` gives every ``bindselect`` call a fresh cache,
+so nothing is shared across iterations; both modes are byte-identical
+by construction.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..resources.area import AreaModel
 from ..resources.types import ResourceType
@@ -113,19 +114,6 @@ class Binding:
         return len(self.cliques)
 
 
-def _is_chain(
-    ops: Sequence[str],
-    schedule: Mapping[str, int],
-    latencies: Mapping[str, int],
-) -> bool:
-    """Whether the ops are pairwise time-compatible (form a chain in C)."""
-    ordered = sorted(ops, key=lambda n: (schedule[n], n))
-    for a, b in zip(ordered, ordered[1:]):
-        if schedule[a] + latencies[a] > schedule[b]:
-            return False
-    return True
-
-
 def max_chain(
     candidates: Sequence[str],
     schedule: Mapping[str, int],
@@ -159,7 +147,7 @@ def max_chain(
     # ordered index attaining it) over the retired set reproduces the
     # quadratic scan's first-strictly-greater predecessor choice, so
     # chains -- and the ChainCache entries built from them -- are
-    # byte-identical to the reference DP.
+    # byte-identical to the quadratic DP (``tests/oracles.py``).
     retire: List[Tuple[int, int]] = []  # (finish, ordered index) min-heap
     run_max = 0
     run_arg = -1
@@ -191,8 +179,8 @@ class BindIndex:
     """Dense-id interning of ops and resources for array-shaped Bindselect.
 
     Static per solve: operation names are interned to dense ids in
-    sorted-name order (so a bitset over op ids enumerates names in the
-    same order the reference implementation scanned them), resources
+    sorted-name order (so a bitset over op ids decodes to a
+    sorted-name candidate list), resources
     keep the ``wcg.resources`` greedy iteration order, and each
     resource's area is captured both in *cheap order* -- sorted by
     ``(area, resource)``, so the lowest set bit of a cheap-order
@@ -204,8 +192,8 @@ class BindIndex:
     Dynamic per ``H`` state (:meth:`sync`, keyed on the monotone
     ``wcg.edge_count()``): per-resource compatible-op bitsets over op
     ids, and per-op compatible-resource bitsets over cheap-order
-    indices.  Cover probing -- the reference's per-op set rebuilds --
-    becomes bitset AND + lowest-set-bit.
+    indices.  Cover probing (Eqn. 4) is a bitset AND + lowest-set-bit
+    instead of a per-op set intersection.
     """
 
     def __init__(
@@ -281,7 +269,7 @@ class BindIndex:
 
 
 class ChainCache:
-    """Memoised :func:`max_chain` results for incremental Bindselect.
+    """Memoised :func:`max_chain` results for Bindselect.
 
     A chain is a pure function of the candidate tuple and the
     candidates' ``(start, L_o)`` values, so a cached chain may be
@@ -297,20 +285,15 @@ class ChainCache:
     current schedule and latency bounds before each ``bindselect`` call.
     It diffs the per-op ``(start, L_o)`` snapshot taken at the previous
     refresh and evicts exactly the entries whose member ops moved;
-    candidate-set changes need no eviction because the candidate tuple
+    candidate-set changes need no eviction because the candidate bitset
     *is* the lookup key.  Cached chains are therefore byte-identical to
     a from-scratch ``max_chain`` -- the ``REPRO_SOLVER=scratch`` parity
     guarantee extends to incremental Bindselect unchanged.
     """
 
     def __init__(self, max_entries_per_resource: int = 64) -> None:
-        self._chains: Dict[
-            ResourceType, Dict[Tuple[str, ...], Tuple[str, ...]]
-        ] = {}
-        # Mask-keyed fast path (key = uncovered-candidate op-id bitset
-        # from the BindIndex); lives beside the name-keyed store so the
-        # name-based API keeps working without an index.
-        self._mask_chains: Dict[ResourceType, Dict[int, Tuple[str, ...]]] = {}
+        # Per resource: uncovered-candidate op-id bitset -> chain.
+        self._chains: Dict[ResourceType, Dict[int, Tuple[str, ...]]] = {}
         self._index: Optional[BindIndex] = None
         self._starts: Dict[str, int] = {}
         self._latencies: Dict[str, int] = {}
@@ -351,51 +334,20 @@ class ChainCache:
             or self._latencies.get(n) != latencies[n]
         }
         dropped = 0
-        if changed:
+        if changed and self._index is not None and self._chains:
+            changed_mask = 0
+            # reprolint: disable=RL001(order-insensitive: bitwise OR commutes)
+            for n in changed:
+                changed_mask |= 1 << self._index.op_id[n]
             for chains in self._chains.values():
-                stale = [key for key in chains if not changed.isdisjoint(key)]
+                stale = [key for key in chains if key & changed_mask]
                 for key in stale:
                     del chains[key]
                 dropped += len(stale)
-            if self._index is not None and self._mask_chains:
-                changed_mask = 0
-                # reprolint: disable=RL001(order-insensitive: bitwise OR commutes)
-                for n in changed:
-                    changed_mask |= 1 << self._index.op_id[n]
-                for mask_chains in self._mask_chains.values():
-                    stale_masks = [key for key in mask_chains if key & changed_mask]
-                    for key in stale_masks:
-                        del mask_chains[key]
-                    dropped += len(stale_masks)
         self._starts = {n: schedule[n] for n in names}
         self._latencies = {n: latencies[n] for n in names}
         self.evicted += dropped
         return dropped
-
-    def chain(
-        self,
-        resource: ResourceType,
-        candidates: Sequence[str],
-        schedule: Mapping[str, int],
-        latencies: Mapping[str, int],
-    ) -> List[str]:
-        """The max chain for ``candidates`` on ``resource``, memoised."""
-        key = tuple(candidates)
-        chains = self._chains.setdefault(resource, {})
-        cached = chains.get(key)
-        if cached is not None:
-            self.hits += 1
-            # LRU: re-append so capacity eviction drops cold keys, not
-            # the hot full-candidate-set chains that recur every round.
-            chains[key] = chains.pop(key)
-            return list(cached)
-        self.misses += 1
-        result = max_chain(candidates, schedule, latencies)
-        while len(chains) >= self._max_entries:
-            del chains[next(iter(chains))]  # least recently used
-            self.evicted += 1
-        chains[key] = tuple(result)
-        return result
 
     def chain_for_mask(
         self,
@@ -405,18 +357,19 @@ class ChainCache:
         schedule: Mapping[str, int],
         latencies: Mapping[str, int],
     ) -> List[str]:
-        """Mask-keyed :meth:`chain`: the key is the candidate op-id bitset.
+        """The max chain of the candidates in ``cand_mask``, memoised.
 
-        A bitset over ids in sorted-name order decodes to exactly the
-        candidate tuple the name-keyed path would use, so the two paths
-        memoise the same pure function; this one skips building the
-        tuple (and hashing all its strings) on a hit.
+        The key is the candidate op-id bitset, which decodes to the
+        sorted-name candidate list :func:`max_chain` is run on; a hit
+        builds no tuple and hashes no strings.
         """
-        chains = self._mask_chains.setdefault(resource, {})
+        chains = self._chains.setdefault(resource, {})
         cached = chains.get(cand_mask)
         if cached is not None:
             self.hits += 1
-            chains[cand_mask] = chains.pop(cand_mask)  # LRU re-append
+            # LRU: re-append so capacity eviction drops cold keys, not
+            # the hot full-candidate-set chains that recur every round.
+            chains[cand_mask] = chains.pop(cand_mask)
             return list(cached)
         self.misses += 1
         result = max_chain(index.names_from_mask(cand_mask), schedule, latencies)
@@ -427,29 +380,6 @@ class ChainCache:
         return result
 
 
-def _cheapest_covering_resource(
-    ops: Sequence[str],
-    wcg: WordlengthCompatibilityGraph,
-    area_model: AreaModel,
-) -> Optional[ResourceType]:
-    """Cheapest resource with a current H edge to every op (Eqn. 4).
-
-    Reference formulation, kept for tests and one-off callers; the
-    Bindselect hot path uses :meth:`BindIndex.cover_mask` +
-    :meth:`BindIndex.cheapest_from_mask`, which computes the same
-    ``min`` over the same candidate set (cheap order is exactly
-    ``(area, resource)`` order).
-    """
-    candidates: Optional[Set[ResourceType]] = None
-    for name in ops:
-        compatible = set(wcg.compatible_resources(name))
-        candidates = compatible if candidates is None else candidates & compatible
-        if not candidates:
-            return None
-    assert candidates is not None
-    return min(candidates, key=lambda r: (area_model.area(r), r))
-
-
 def _merge_if_chain(
     left: Sequence[str],
     right: Sequence[str],
@@ -458,9 +388,9 @@ def _merge_if_chain(
 ) -> Optional[List[str]]:
     """Merge two ``(start, name)``-sorted chains; None if not a chain.
 
-    Equivalent to sorting the concatenation and running the adjacent
-    pairwise-compatibility check (:func:`_is_chain`), but linear in the
-    union size since both inputs are already sorted.
+    Equivalent to sorting the concatenation and checking that each op
+    finishes no later than the next one starts, but linear in the union
+    size since both inputs are already sorted.
     """
     merged: List[str] = []
     i = j = 0
@@ -515,17 +445,14 @@ def bindselect(
         chain_cache: optional :class:`ChainCache` supplying memoised
             max chains (the solver pipeline's incremental Bindselect).
             The caller must have ``refresh``-ed it against ``schedule``
-            and ``latencies``; results are byte-identical with or
-            without it.
+            and ``latencies``.  ``None`` memoises within this call only;
+            results are byte-identical either way.
 
     Returns:
         a :class:`Binding` covering every operation exactly once.
     """
-    if chain_cache is not None:
-        index = chain_cache.ensure_index(wcg, area_model)
-    else:
-        index = BindIndex(wcg, area_model)
-        index.sync(wcg)
+    cache = chain_cache if chain_cache is not None else ChainCache()
+    index = cache.ensure_index(wcg, area_model)
     op_id = index.op_id
     cost_ratio = index.cost_ratio
     uncovered = (1 << len(index.op_names)) - 1
@@ -545,14 +472,9 @@ def bindselect(
             cand_mask = index.ops_mask[resource] & uncovered
             if not cand_mask:
                 continue
-            if chain_cache is not None:
-                chain = chain_cache.chain_for_mask(
-                    resource, cand_mask, index, schedule, latencies
-                )
-            else:
-                chain = max_chain(
-                    index.names_from_mask(cand_mask), schedule, latencies
-                )
+            chain = cache.chain_for_mask(
+                resource, cand_mask, index, schedule, latencies
+            )
             num, den = cost_ratio[resource]
             if best is None:
                 best = (len(chain), num, den, resource, chain)

@@ -47,7 +47,6 @@ from .wcg import WordlengthCompatibilityGraph
 __all__ = [
     "Eqn2Tracker",
     "Eqn3Tracker",
-    "Eqn3TrackerReference",
     "ScheduleOutcome",
     "ScheduleWarmStart",
     "critical_path_priorities",
@@ -87,9 +86,10 @@ class Eqn3Tracker:
     step, per-member peaks and per-kind peak sums are maintained
     incrementally, and the constraint test compares against ``N_y * D``.
     All comparisons are exact integer comparisons -- byte-identical to
-    the retained :class:`Eqn3TrackerReference` (``fractions.Fraction``),
-    which the equivalence test suite enforces.  Python integers never
-    overflow, so arbitrarily large denominators stay exact.
+    the ``fractions.Fraction`` formulation kept as a test oracle
+    (``tests/oracles.py``), which the equivalence test suite enforces.
+    Python integers never overflow, so arbitrarily large denominators
+    stay exact.
     """
 
     def __init__(
@@ -229,118 +229,6 @@ class Eqn3Tracker:
     def lhs(self, kind: str) -> Fraction:
         """Current LHS of Eqn. 3 for one resource kind (exact)."""
         return Fraction(self._kind_peak_sum.get(kind, 0), self._denominator)
-
-
-class Eqn3TrackerReference:
-    """Reference ``Fraction`` implementation of the Eqn. 3 tracker.
-
-    The pre-PR-8 implementation, retained verbatim as the oracle for the
-    scaled-integer :class:`Eqn3Tracker`: the randomized equivalence
-    suite drives both trackers through identical placement streams and
-    asserts ``admits``/``ever_admittable``/``lhs`` agree exactly.  Not
-    used on any hot path.
-    """
-
-    def __init__(
-        self,
-        wcg: WordlengthCompatibilityGraph,
-        constraints: Mapping[str, int],
-        scheduling_set: Optional[Tuple[ResourceType, ...]] = None,
-    ) -> None:
-        self._constraints = dict(constraints)
-        self._scheduling_set = (
-            scheduling_set if scheduling_set is not None else wcg.scheduling_set()
-        )
-        self._members_by_kind: Dict[str, List[ResourceType]] = {}
-        for s in self._scheduling_set:
-            self._members_by_kind.setdefault(s.kind, []).append(s)
-        # S(o) and the equal-sharing fractions of section 2.2.
-        self._share: Dict[str, Fraction] = {}
-        self._members_of: Dict[str, Tuple[ResourceType, ...]] = {}
-        for op in wcg.operations:
-            members = wcg.members_covering(op.name, self._scheduling_set)
-            if not members:
-                raise InfeasibleError(
-                    f"operation {op.name!r} not covered by the scheduling set"
-                )
-            self._members_of[op.name] = members
-            self._share[op.name] = Fraction(1, len(members))
-        # Per member: per-step fractional load and its running peak.
-        self._load: Dict[ResourceType, Dict[int, Fraction]] = {
-            s: {} for s in self._scheduling_set
-        }
-        self._peak: Dict[ResourceType, Fraction] = {
-            s: Fraction(0) for s in self._scheduling_set
-        }
-
-    @property
-    def scheduling_set(self) -> Tuple[ResourceType, ...]:
-        return self._scheduling_set
-
-    def members_of(self, name: str) -> Tuple[ResourceType, ...]:
-        return self._members_of[name]
-
-    def share(self, name: str) -> Fraction:
-        """The op's equal share ``1/|S(o)|``."""
-        return self._share[name]
-
-    def _limit(self, kind: str) -> Optional[int]:
-        return self._constraints.get(kind)
-
-    def _hypothetical_lhs(self, name: str, start: int, duration: int) -> Fraction:
-        """LHS of Eqn. 3 for the op's kind if it were placed at ``start``."""
-        kind = next(iter(self._members_of[name])).kind
-        share = self._share[name]
-        involved = set(self._members_of[name])
-        total = Fraction(0)
-        for s in self._members_by_kind.get(kind, []):
-            peak = self._peak[s]
-            if s in involved:
-                loads = self._load[s]
-                for t in range(start, start + duration):
-                    peak = max(peak, loads.get(t, Fraction(0)) + share)
-            total += peak
-        return total
-
-    def admits(self, name: str, start: int, duration: int) -> bool:
-        """Whether placing ``name`` at ``start`` keeps Eqn. 3 satisfied."""
-        kind = next(iter(self._members_of[name])).kind
-        limit = self._limit(kind)
-        if limit is None:
-            return True
-        return self._hypothetical_lhs(name, start, duration) <= limit
-
-    def ever_admittable(self, name: str, duration: int) -> bool:
-        """Fresh-step feasibility: if this fails, the op can never be placed."""
-        kind = next(iter(self._members_of[name])).kind
-        limit = self._limit(kind)
-        if limit is None:
-            return True
-        share = self._share[name]
-        total = Fraction(0)
-        for s in self._members_by_kind.get(kind, []):
-            peak = self._peak[s]
-            if s in self._members_of[name]:
-                peak = max(peak, share)
-            total += peak
-        return total <= limit
-
-    def place(self, name: str, start: int, duration: int) -> None:
-        """Commit the placement of an operation."""
-        share = self._share[name]
-        for s in self._members_of[name]:
-            loads = self._load[s]
-            for t in range(start, start + duration):
-                loads[t] = loads.get(t, Fraction(0)) + share
-                if loads[t] > self._peak[s]:
-                    self._peak[s] = loads[t]
-
-    def lhs(self, kind: str) -> Fraction:
-        """Current LHS of Eqn. 3 for one resource kind."""
-        return sum(
-            (self._peak[s] for s in self._members_by_kind.get(kind, [])),
-            Fraction(0),
-        )
 
 
 class Eqn2Tracker:

@@ -530,8 +530,9 @@ class BindPass(Pass):
     Incremental: a persistent :class:`ChainCache` replays chains whose
     inputs did not move; ``refresh`` evicts exactly the chains touching
     operations the last refinement's schedule/bounds diff actually
-    changed.  Scratch: every chain is recomputed.  Both are
-    byte-identical by construction.
+    changed.  Scratch: each ``bindselect`` call starts from an empty
+    cache, so no chain survives an iteration.  Both are byte-identical
+    by construction.
     """
 
     name = "bind"

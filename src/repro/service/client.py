@@ -19,14 +19,16 @@ callers accept local-or-remote interchangeably::
 Every call speaks the ``/v1`` wire schema: request payloads carry
 ``schema_version`` and a ``fingerprint`` routing hint.
 
-HTTP-level failures raise :class:`ServiceError` (with the server's
-``service-error`` payload when one was sent); *solver*-level failures
-never raise -- they are ``error`` fields of the returned envelopes,
-exactly like ``Engine.run``.
+HTTP-level failures -- an error status, an unreachable server, a
+truncated, stalled or non-JSON response -- raise :class:`ServiceError`
+(with the server's ``service-error`` payload when one was sent);
+*solver*-level failures never raise -- they are ``error`` fields of
+the returned envelopes, exactly like ``Engine.run``.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
 import time
 import urllib.error
@@ -111,7 +113,7 @@ class ServiceClient:
         )
         try:
             with urllib.request.urlopen(request, timeout=self.timeout) as resp:
-                return json.loads(resp.read().decode("utf-8"))
+                raw = resp.read()
         except urllib.error.HTTPError as exc:
             detail: Dict[str, Any] = {}
             message = str(exc)
@@ -124,6 +126,18 @@ class ServiceClient:
         except urllib.error.URLError as exc:
             raise ServiceError(
                 0, f"cannot reach {self.base_url}: {exc.reason}"
+            ) from None
+        except (http.client.HTTPException, OSError) as exc:
+            # A truncated or stalled response (IncompleteRead, timeout,
+            # reset) after the connection was made.
+            raise ServiceError(
+                0, f"{method} {path}: response failed: {exc!r}"
+            ) from None
+        try:
+            return json.loads(raw.decode("utf-8"))
+        except ValueError as exc:
+            raise ServiceError(
+                0, f"{method} {path}: response is not JSON: {exc}"
             ) from None
 
     # ------------------------------------------------------------------

@@ -1,0 +1,184 @@
+"""Reference formulations of the solver's inner kernels (test oracles).
+
+The shipped kernels in ``repro.core`` are array/integer-shaped rewrites
+that must make exactly the same decisions as the straightforward
+formulations below.  The equivalence tests (``test_goldens.py``,
+``test_scheduling.py``) drive both on identical inputs and require
+exact equality:
+
+* :func:`reference_max_chain` -- the quadratic max-chain DP behind
+  :func:`repro.core.binding.max_chain` (O(k log k) retire pointer);
+* :func:`cheapest_covering_resource` -- per-op set intersection plus
+  ``min``, behind ``BindIndex.cover_mask`` + ``cheapest_from_mask``;
+* :class:`Eqn3TrackerReference` -- ``Fraction`` arithmetic behind the
+  scaled-integer :class:`repro.core.scheduling.Eqn3Tracker`.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+
+from repro.core.problem import InfeasibleError
+from repro.core.wcg import WordlengthCompatibilityGraph
+from repro.resources.area import AreaModel
+from repro.resources.types import ResourceType
+
+
+def reference_max_chain(
+    candidates: Sequence[str],
+    schedule: Mapping[str, int],
+    latencies: Mapping[str, int],
+) -> List[str]:
+    """Quadratic max-chain DP over ops sorted by ``(start, name)``.
+
+    Each op's predecessor is the first earlier op (in sorted order) that
+    finishes by its start and strictly improves its chain length; the
+    tail is the op with the greatest ``(length, name)``.
+    """
+    if not candidates:
+        return []
+    ordered = sorted(candidates, key=lambda n: (schedule[n], n))
+    best_len: Dict[str, int] = {}
+    best_pred: Dict[str, Optional[str]] = {}
+    for i, name in enumerate(ordered):
+        best_len[name] = 1
+        best_pred[name] = None
+        for prev in ordered[:i]:
+            if schedule[prev] + latencies[prev] <= schedule[name]:
+                if best_len[prev] + 1 > best_len[name]:
+                    best_len[name] = best_len[prev] + 1
+                    best_pred[name] = prev
+    chain: List[str] = []
+    cursor: Optional[str] = max(ordered, key=lambda n: (best_len[n], n))
+    while cursor is not None:
+        chain.append(cursor)
+        cursor = best_pred[cursor]
+    chain.reverse()
+    return chain
+
+
+def cheapest_covering_resource(
+    ops: Sequence[str],
+    wcg: WordlengthCompatibilityGraph,
+    area_model: AreaModel,
+) -> Optional[ResourceType]:
+    """Cheapest resource with a current H edge to every op (Eqn. 4)."""
+    candidates: Optional[Set[ResourceType]] = None
+    for name in ops:
+        compatible = set(wcg.compatible_resources(name))
+        candidates = compatible if candidates is None else candidates & compatible
+        if not candidates:
+            return None
+    assert candidates is not None
+    return min(candidates, key=lambda r: (area_model.area(r), r))
+
+
+class Eqn3TrackerReference:
+    """``Fraction`` implementation of the Eqn. 3 tracker.
+
+    Same interface as :class:`repro.core.scheduling.Eqn3Tracker`; every
+    share, load and peak is an exact rational, summed per kind on
+    demand rather than maintained as scaled integers.
+    """
+
+    def __init__(
+        self,
+        wcg: WordlengthCompatibilityGraph,
+        constraints: Mapping[str, int],
+        scheduling_set: Optional[Tuple[ResourceType, ...]] = None,
+    ) -> None:
+        self._constraints = dict(constraints)
+        self._scheduling_set = (
+            scheduling_set if scheduling_set is not None else wcg.scheduling_set()
+        )
+        self._members_by_kind: Dict[str, List[ResourceType]] = {}
+        for s in self._scheduling_set:
+            self._members_by_kind.setdefault(s.kind, []).append(s)
+        # S(o) and the equal-sharing fractions of section 2.2.
+        self._share: Dict[str, Fraction] = {}
+        self._members_of: Dict[str, Tuple[ResourceType, ...]] = {}
+        for op in wcg.operations:
+            members = wcg.members_covering(op.name, self._scheduling_set)
+            if not members:
+                raise InfeasibleError(
+                    f"operation {op.name!r} not covered by the scheduling set"
+                )
+            self._members_of[op.name] = members
+            self._share[op.name] = Fraction(1, len(members))
+        # Per member: per-step fractional load and its running peak.
+        self._load: Dict[ResourceType, Dict[int, Fraction]] = {
+            s: {} for s in self._scheduling_set
+        }
+        self._peak: Dict[ResourceType, Fraction] = {
+            s: Fraction(0) for s in self._scheduling_set
+        }
+
+    @property
+    def scheduling_set(self) -> Tuple[ResourceType, ...]:
+        return self._scheduling_set
+
+    def members_of(self, name: str) -> Tuple[ResourceType, ...]:
+        return self._members_of[name]
+
+    def share(self, name: str) -> Fraction:
+        """The op's equal share ``1/|S(o)|``."""
+        return self._share[name]
+
+    def _limit(self, kind: str) -> Optional[int]:
+        return self._constraints.get(kind)
+
+    def _hypothetical_lhs(self, name: str, start: int, duration: int) -> Fraction:
+        """LHS of Eqn. 3 for the op's kind if it were placed at ``start``."""
+        kind = next(iter(self._members_of[name])).kind
+        share = self._share[name]
+        involved = set(self._members_of[name])
+        total = Fraction(0)
+        for s in self._members_by_kind.get(kind, []):
+            peak = self._peak[s]
+            if s in involved:
+                loads = self._load[s]
+                for t in range(start, start + duration):
+                    peak = max(peak, loads.get(t, Fraction(0)) + share)
+            total += peak
+        return total
+
+    def admits(self, name: str, start: int, duration: int) -> bool:
+        """Whether placing ``name`` at ``start`` keeps Eqn. 3 satisfied."""
+        kind = next(iter(self._members_of[name])).kind
+        limit = self._limit(kind)
+        if limit is None:
+            return True
+        return self._hypothetical_lhs(name, start, duration) <= limit
+
+    def ever_admittable(self, name: str, duration: int) -> bool:
+        """Fresh-step feasibility: if this fails, the op can never be placed."""
+        kind = next(iter(self._members_of[name])).kind
+        limit = self._limit(kind)
+        if limit is None:
+            return True
+        share = self._share[name]
+        total = Fraction(0)
+        for s in self._members_by_kind.get(kind, []):
+            peak = self._peak[s]
+            if s in self._members_of[name]:
+                peak = max(peak, share)
+            total += peak
+        return total <= limit
+
+    def place(self, name: str, start: int, duration: int) -> None:
+        """Commit the placement of an operation."""
+        share = self._share[name]
+        for s in self._members_of[name]:
+            loads = self._load[s]
+            for t in range(start, start + duration):
+                loads[t] = loads.get(t, Fraction(0)) + share
+                if loads[t] > self._peak[s]:
+                    self._peak[s] = loads[t]
+
+    def lhs(self, kind: str) -> Fraction:
+        """Current LHS of Eqn. 3 for one resource kind."""
+        return sum(
+            (self._peak[s] for s in self._members_by_kind.get(kind, [])),
+            Fraction(0),
+        )

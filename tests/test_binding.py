@@ -222,16 +222,27 @@ class TestChainCache:
         self.schedule = {"a": 0, "b": 2, "c": 4, "d": 1}
         self.latencies = {"a": 2, "b": 2, "c": 2, "d": 2}
         self.names = ("a", "b", "c", "d")
+        self.wcg = make_wcg(
+            [Operation(n, "mul", (8, 8)) for n in self.names], [SMALL, BIG]
+        )
 
-    def make_cache(self):
-        cache = ChainCache()
+    def make_cache(self, **kwargs):
+        cache = ChainCache(**kwargs)
+        self.index = cache.ensure_index(self.wcg, AREA)
         cache.refresh(self.schedule, self.latencies, self.names)
         return cache
 
+    def lookup(self, cache, resource, candidates, schedule=None):
+        mask = sum(1 << self.index.op_id[n] for n in candidates)
+        return cache.chain_for_mask(
+            resource, mask, self.index, schedule or self.schedule,
+            self.latencies,
+        )
+
     def test_miss_then_hit_returns_same_chain(self):
         cache = self.make_cache()
-        first = cache.chain(SMALL, ["a", "b", "c"], self.schedule, self.latencies)
-        second = cache.chain(SMALL, ["a", "b", "c"], self.schedule, self.latencies)
+        first = self.lookup(cache, SMALL, ["a", "b", "c"])
+        second = self.lookup(cache, SMALL, ["a", "b", "c"])
         assert first == second == max_chain(
             ["a", "b", "c"], self.schedule, self.latencies
         )
@@ -239,42 +250,39 @@ class TestChainCache:
 
     def test_cached_chain_is_a_private_copy(self):
         cache = self.make_cache()
-        first = cache.chain(SMALL, ["a", "b"], self.schedule, self.latencies)
+        first = self.lookup(cache, SMALL, ["a", "b"])
         first.append("junk")
-        assert cache.chain(SMALL, ["a", "b"], self.schedule, self.latencies) == [
-            "a", "b",
-        ]
+        assert self.lookup(cache, SMALL, ["a", "b"]) == ["a", "b"]
 
     def test_different_candidates_are_distinct_keys(self):
         cache = self.make_cache()
-        cache.chain(SMALL, ["a", "b", "c"], self.schedule, self.latencies)
-        narrowed = cache.chain(SMALL, ["b", "c"], self.schedule, self.latencies)
+        self.lookup(cache, SMALL, ["a", "b", "c"])
+        narrowed = self.lookup(cache, SMALL, ["b", "c"])
         assert narrowed == ["b", "c"]
         assert cache.misses == 2
 
     def test_refresh_evicts_only_touching_entries(self):
         cache = self.make_cache()
-        cache.chain(SMALL, ["a", "b"], self.schedule, self.latencies)
-        cache.chain(BIG, ["c", "d"], self.schedule, self.latencies)
+        self.lookup(cache, SMALL, ["a", "b"])
+        self.lookup(cache, BIG, ["c", "d"])
         moved = dict(self.schedule, a=1)
         dropped = cache.refresh(moved, self.latencies, self.names)
         assert dropped == 1  # only the (a, b) entry contained 'a'
-        cache.chain(BIG, ["c", "d"], moved, self.latencies)
+        self.lookup(cache, BIG, ["c", "d"], schedule=moved)
         assert cache.hits == 1
 
     def test_latency_change_also_evicts(self):
         cache = self.make_cache()
-        cache.chain(SMALL, ["a", "b"], self.schedule, self.latencies)
+        self.lookup(cache, SMALL, ["a", "b"])
         slower = dict(self.latencies, b=3)
         assert cache.refresh(self.schedule, slower, self.names) == 1
 
     def test_capacity_evicts_oldest(self):
-        cache = ChainCache(max_entries_per_resource=2)
-        cache.refresh(self.schedule, self.latencies, self.names)
-        cache.chain(SMALL, ["a"], self.schedule, self.latencies)
-        cache.chain(SMALL, ["b"], self.schedule, self.latencies)
-        cache.chain(SMALL, ["c"], self.schedule, self.latencies)  # evicts ["a"]
-        cache.chain(SMALL, ["a"], self.schedule, self.latencies)
+        cache = self.make_cache(max_entries_per_resource=2)
+        self.lookup(cache, SMALL, ["a"])
+        self.lookup(cache, SMALL, ["b"])
+        self.lookup(cache, SMALL, ["c"])  # evicts ["a"]
+        self.lookup(cache, SMALL, ["a"])
         assert cache.misses == 4 and cache.evicted == 2
 
     def test_bindselect_with_cache_is_identical(self):

@@ -43,11 +43,11 @@ class TestDocsTree:
     def test_readme_quotes_current_bench_workloads(self):
         import json
 
-        report = json.loads((REPO / "BENCH_solver.json").read_text())
-        names = {w["name"] for w in report["workloads"]}
-        assert {"refinement-heavy", "binding-heavy"} <= names
+        spec = json.loads((REPO / "BENCHMARK.json").read_text())
+        names = [w["name"] for w in spec["workloads"]]
+        assert names
         readme = (REPO / "README.md").read_text()
-        assert "refinement-heavy" in readme and "binding-heavy" in readme
+        assert [name for name in names if name not in readme] == []
 
 
 class TestCheckerMechanics:
@@ -121,15 +121,30 @@ class TestCheckerHardening:
 
     def test_chain_cache_lru_keeps_hot_entry(self):
         from repro.core.binding import ChainCache
+        from repro.core.wcg import WordlengthCompatibilityGraph
+        from repro.ir.ops import Operation
+        from repro.resources.area import SonicAreaModel
+        from repro.resources.latency import SonicLatencyModel
+        from repro.resources.types import ResourceType
 
         schedule = {"a": 0, "b": 2, "c": 4}
         latencies = {"a": 2, "b": 2, "c": 2}
+        resource = ResourceType("mul", (8, 8))
+        wcg = WordlengthCompatibilityGraph(
+            [Operation(n, "mul", (8, 8)) for n in schedule], [resource],
+            SonicLatencyModel(),
+        )
         cache = ChainCache(max_entries_per_resource=2)
+        index = cache.ensure_index(wcg, SonicAreaModel())
         cache.refresh(schedule, latencies, ("a", "b", "c"))
-        resource = object()
-        cache.chain(resource, ["a", "b", "c"], schedule, latencies)  # hot
-        cache.chain(resource, ["b"], schedule, latencies)
-        cache.chain(resource, ["a", "b", "c"], schedule, latencies)  # touch
-        cache.chain(resource, ["c"], schedule, latencies)  # evicts ["b"]
-        cache.chain(resource, ["a", "b", "c"], schedule, latencies)
+
+        def lookup(*names):
+            mask = sum(1 << index.op_id[n] for n in names)
+            return cache.chain_for_mask(resource, mask, index, schedule, latencies)
+
+        lookup("a", "b", "c")  # hot
+        lookup("b")
+        lookup("a", "b", "c")  # touch
+        lookup("c")  # evicts ["b"]
+        lookup("a", "b", "c")
         assert cache.hits == 2  # the hot full-candidate entry survived

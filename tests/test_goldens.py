@@ -1,0 +1,208 @@
+"""Golden solves and kernel-oracle agreement (deterministic, no timing).
+
+* **Solver goldens** -- five TGFF cases of perfbench's workload
+  families: ``refinement-heavy`` (48-96 ops at lambda_min) and
+  ``binding-heavy`` (128-160 ops at 1.05 lambda_min).  Each pins the
+  iteration count, the area and the sha256 of the datapath's canonical
+  JSON.  The digests are the same in both ``REPRO_SOLVER`` modes, so
+  running this file under ``REPRO_SOLVER=scratch`` checks incremental
+  == scratch on graphs larger than the parity sweep's.
+* **Delta goldens** -- the strategy and verified/resumed iteration split
+  of a warm ``lambda + 1`` deadline edit, whose envelope must also be
+  canonical-byte identical to a cold solve of the edited problem.
+* **Reuse counts** (incremental mode only) -- each cross-iteration
+  reuse mechanism fires: the bound-path engine does one full pass and
+  then repairs, the chain cache hits, and the schedule pass resumes a
+  non-empty warm prefix.  Bounds, not exact counts, so the greedy may
+  evaluate fewer chains without breaking them.
+* **Oracle agreement** -- ``max_chain`` and the Bindselect cover probe
+  against the reference formulations in ``tests/oracles.py``.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import random
+from collections import Counter
+from dataclasses import dataclass
+
+import pytest
+
+from repro.core import scheduling
+from repro.core.binding import BindIndex, max_chain
+from repro.core.delta import DeadlineEdit
+from repro.core.solution import Datapath
+from repro.core.solver import (
+    DPAllocOptions,
+    SolverState,
+    resolve_solver_mode,
+    solve_loop,
+)
+from repro.core.wcg import WordlengthCompatibilityGraph
+from repro.engine import AllocationRequest, DeltaRequest, Engine, execute_request
+from repro.experiments import build_case
+from repro.io.json_io import datapath_to_dict
+from tests.oracles import cheapest_covering_resource, reference_max_chain
+
+# label -> (ops, relaxation over lambda_min, iterations, area, sha256)
+SOLVER_CASES = {
+    "tgff-48-0": (48, 0.0, 50, 2696,
+                  "d6245eb355c831da2e7ff19971ce77a77725015c42269a7859a07aea5c7049a9"),
+    "tgff-64-0": (64, 0.0, 80, 3189,
+                  "afbe6c419450bbbdc4d414e994b361b0520f929946aae79ef554377f3648cf3e"),
+    "tgff-96-0": (96, 0.0, 40, 3744,
+                  "b378d5130b5808c84f4726343dc5a33df76bdf62bd23431969d860099068b191"),
+    "tgff-128-0": (128, 0.05, 60, 4813,
+                   "e762ed06c3133e30c26ff7cfd85bfafdd98a532eeea4e9448d887e32a69a1e3a"),
+    "tgff-160-0": (160, 0.05, 126, 5687,
+                   "28384c9abde18f5488ee35dc2ca4d4049ecdfd508f0beec242dfb00a4f6bd4b0"),
+}
+
+# label -> (ops, sample, strategy, verified iterations, resumed iterations)
+DELTA_CASES = {
+    "tgff-48-0": (48, 0, "diverged", 45, 4),
+    "tgff-48-1": (48, 1, "replay", 23, 0),
+    "tgff-64-0": (64, 0, "resumed", 76, 1),
+    "tgff-64-1": (64, 1, "resumed", 57, 1),
+}
+
+incremental_only = pytest.mark.skipif(
+    resolve_solver_mode() != "incremental",
+    reason="reuse counters exist only in incremental mode",
+)
+
+
+def canonical_digest(datapath: Datapath) -> str:
+    text = json.dumps(datapath_to_dict(datapath), sort_keys=True)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@dataclass
+class Solved:
+    label: str
+    datapath: Datapath
+    state: SolverState
+    warm_prefix_reuses: int
+
+
+@pytest.fixture(scope="module", params=sorted(SOLVER_CASES))
+def solved(request) -> Solved:
+    """One untraced solve of a solver case, in the ``REPRO_SOLVER`` mode."""
+    label = request.param
+    num_ops, relaxation = SOLVER_CASES[label][:2]
+    problem = build_case(num_ops, 0, relaxation).problem
+    warm_prefix = scheduling._warm_prefix
+    reuses = 0
+
+    def counting_warm_prefix(*args, **kwargs):
+        nonlocal reuses
+        reusable = warm_prefix(*args, **kwargs)
+        if reusable is not None and reusable[0]:
+            reuses += 1
+        return reusable
+
+    state = SolverState(
+        problem, DPAllocOptions(),
+        incremental=resolve_solver_mode() == "incremental",
+    )
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scheduling, "_warm_prefix", counting_warm_prefix)
+        datapath = solve_loop(state)
+    return Solved(label, datapath, state, reuses)
+
+
+class TestSolverGoldens:
+    def test_iterations_area_and_bytes(self, solved):
+        _, _, iterations, area, digest = SOLVER_CASES[solved.label]
+        assert solved.datapath.iterations == iterations
+        assert solved.datapath.area == area
+        assert canonical_digest(solved.datapath) == digest
+
+
+@incremental_only
+class TestReuseCounts:
+    def test_bound_path_engine_repairs_instead_of_rebuilding(self, solved):
+        engine = solved.state.bound_path
+        assert engine is not None
+        assert engine.full_passes == 1
+        assert engine.incremental_updates > 0
+
+    def test_chain_cache_hits(self, solved):
+        cache = solved.state.chain_cache
+        assert cache is not None
+        assert cache.hits > 0
+
+    def test_schedule_resumes_a_warm_prefix(self, solved):
+        assert solved.warm_prefix_reuses > 0
+
+
+@pytest.mark.parametrize("label", sorted(DELTA_CASES))
+def test_delta_golden(label):
+    num_ops, sample, strategy, verified, resumed = DELTA_CASES[label]
+    problem = build_case(num_ops, sample, 0.0).problem
+    deadline = problem.latency_constraint + 1
+    engine = Engine()
+    engine.run_delta(DeltaRequest(edits=(), base_problem=problem))
+    warm = engine.run_delta(DeltaRequest(
+        edits=(DeadlineEdit(deadline),),
+        base_fingerprint=problem.fingerprint(),
+    ))
+    assert warm.ok, warm.error
+    meta = warm.delta or {}
+    assert (
+        meta.get("strategy"),
+        meta.get("verified_iterations"),
+        meta.get("resumed_iterations"),
+    ) == (strategy, verified, resumed)
+    cold = execute_request(
+        AllocationRequest(problem.with_latency_constraint(deadline), "dpalloc")
+    )
+    assert warm.canonical_json() == cold.canonical_json()
+
+
+class TestOracleAgreement:
+    def test_max_chain_matches_quadratic_dp(self):
+        rng = random.Random(2001)
+        tied = 0
+        for _trial in range(400):
+            names = [f"o{i:02d}" for i in range(rng.randint(0, 14))]
+            rng.shuffle(names)
+            # A short horizon forces shared start times (and length ties
+            # between rival chains), exercising every tie-break.
+            horizon = rng.randint(1, 12)
+            schedule = {n: rng.randint(0, horizon) for n in names}
+            latencies = {n: rng.randint(1, 4) for n in names}
+            tied += len(set(schedule.values())) < len(names)
+            assert max_chain(names, schedule, latencies) == reference_max_chain(
+                names, schedule, latencies
+            ), (schedule, latencies)
+        assert tied > 200
+
+    def test_cover_probe_matches_set_intersection_across_refinements(self):
+        problem = build_case(64, 0, 0.3).problem
+        wcg = WordlengthCompatibilityGraph(
+            problem.graph.operations, problem.resource_set(),
+            problem.latency_model,
+        )
+        area_model = problem.area_model
+        index = BindIndex(wcg, area_model)
+        names = sorted(op.name for op in wcg.operations)
+        rng = random.Random(2001)
+        refined = 0
+        probes = Counter()
+        for _step in range(12):
+            index.sync(wcg)
+            for _ in range(150):
+                ops = rng.sample(names, rng.randint(1, 6))
+                want = cheapest_covering_resource(ops, wcg, area_model)
+                got = index.cheapest_from_mask(index.cover_mask(ops))
+                assert got == want, ops
+                probes[want is None] += 1
+            refinable = [n for n in names if wcg.can_refine(n)]
+            if not refinable:
+                break
+            wcg.refine(rng.choice(refinable))
+            refined += 1
+        assert refined >= 5
+        assert probes[True] and probes[False]  # covered and uncoverable

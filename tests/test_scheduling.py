@@ -22,6 +22,7 @@ from repro.ir.ops import Operation
 from repro.ir.seqgraph import SequencingGraph
 from repro.resources.latency import SonicLatencyModel
 from repro.resources.types import ResourceType
+from tests.oracles import Eqn3TrackerReference
 
 LAT = SonicLatencyModel()
 
@@ -283,7 +284,7 @@ class TestManyOpsStress:
 
 
 class TestScaledIntegerTrackerEquivalence:
-    """The scaled-integer Eqn3Tracker vs the retained Fraction reference.
+    """The scaled-integer Eqn3Tracker vs the Fraction oracle.
 
     Both trackers are driven through identical query/placement streams;
     exact agreement on ``admits``/``ever_admittable``/``lhs`` is the
@@ -306,8 +307,6 @@ class TestScaledIntegerTrackerEquivalence:
 
     def test_randomized_agreement_with_fraction_reference(self):
         import random
-
-        from repro.core.scheduling import Eqn3TrackerReference
 
         rng = random.Random(1234)
         placements = 0
@@ -346,8 +345,6 @@ class TestScaledIntegerTrackerEquivalence:
         import math
         import random
 
-        from repro.core.scheduling import Eqn3TrackerReference
-
         primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43]
         resources = [
             ResourceType("mul", (8 + 2 * j, 8 + 2 * j)) for j in range(max(primes))
@@ -377,8 +374,6 @@ class TestScaledIntegerTrackerEquivalence:
 
     def test_admission_boundary_is_exact(self):
         """admits() at lhs == N exactly: <= must pass, one share over fails."""
-        from repro.core.scheduling import Eqn3TrackerReference
-
         r1 = ResourceType("mul", (8, 8))
         r2 = ResourceType("mul", (10, 10))
         r3 = ResourceType("mul", (12, 12))

@@ -43,6 +43,7 @@ from repro.service import (
     ServiceClient,
     ServiceError,
 )
+from repro.service.fleet import free_port
 from repro.service.primitives import latency_summary, nearest_rank
 
 fork_only = pytest.mark.skipif(
@@ -63,6 +64,48 @@ def make_request(label=None, relax=0.5, allocator="dpalloc", timeout=None):
     return AllocationRequest(
         make_problem(relax), allocator, label=label, timeout=timeout
     )
+
+
+@pytest.fixture
+def canned_server():
+    """A raw-socket HTTP server answering with fixed bytes; yields a starter.
+
+    ``start(response, stall)`` returns the base URL of a listener that
+    reads one request head, sends ``response``, then closes the
+    connection -- or, with ``stall``, holds it open until teardown.
+    """
+    import socket
+
+    listener = socket.socket()
+    listener.bind(("127.0.0.1", 0))
+    listener.listen(1)
+    released = threading.Event()
+    threads = []
+
+    def start(response, stall=False):
+        def serve():
+            conn, _ = listener.accept()
+            with conn:
+                head = b""
+                while b"\r\n\r\n" not in head:
+                    chunk = conn.recv(65536)
+                    if not chunk:
+                        break
+                    head += chunk
+                conn.sendall(response)
+                if stall:
+                    released.wait(10)
+
+        thread = threading.Thread(target=serve, daemon=True)
+        thread.start()
+        threads.append(thread)
+        return f"http://127.0.0.1:{listener.getsockname()[1]}"
+
+    yield start
+    released.set()
+    listener.close()
+    for thread in threads:
+        thread.join(10)
 
 
 def raw_exchange(port, request):
@@ -442,6 +485,32 @@ class TestHttpEndpoints:
         ])
         assert rc == 2
         assert "batch --url failed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        ["allocate", "fir"],
+        ["compare", "fir"],
+        ["delta", "fir", "--edit", "latency=40"],
+        ["batch", "fir", "--methods", "uniform"],
+    ], ids=lambda command: command[0])
+    def test_url_failure_exits_2_without_traceback(self, command, capsys):
+        url = f"http://127.0.0.1:{free_port()}"  # released: nothing listens
+        assert main([*command, "--url", url]) == 2
+        err = capsys.readouterr().err
+        assert f"{command[0]} --url failed: " in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("response, stall", [
+        (b"HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\n{\"kind\": ", False),
+        (b"HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\n{\"kind\": ", True),
+        (b"HTTP/1.1 200 OK\r\nContent-Length: 8\r\n\r\nnot json", False),
+    ], ids=["truncated", "stalled", "not-json"])
+    def test_broken_response_body_is_a_service_error(
+        self, canned_server, response, stall
+    ):
+        client = ServiceClient(canned_server(response, stall), timeout=0.5)
+        with pytest.raises(ServiceError) as excinfo:
+            client.healthz()
+        assert excinfo.value.status == 0
 
 
 # ----------------------------------------------------------------------

@@ -25,9 +25,7 @@ Failures are **shrunk** (greedy edit dropping against a fresh engine)
 and written as self-contained ``delta-fuzz-repro`` JSON files; re-run
 one with ``--repro FILE``.  CI runs both modes on fixed seeds (see
 ``.github/workflows/ci.yml``); ``tests/test_delta_fuzz.py`` drives the
-library API over the committed corpus seed, and
-``benchmarks/bench_delta.py`` reuses the repro-file writer when its
-parity gate trips.
+library API over the committed corpus seed.
 
 Usage::
 
