@@ -137,8 +137,15 @@ WORKLOADS: Dict[str, Tuple[Callable, Optional[Callable]]] = {
 def _load_graph(source: str):
     if source in WORKLOADS:
         return WORKLOADS[source][0]()
-    data = load_json(source)
-    return graph_from_dict(data)
+    try:
+        return graph_from_dict(load_json(source))
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+        print(
+            f"cannot load {source!r}: not a named workload "
+            f"({', '.join(sorted(WORKLOADS))}) nor a graph JSON file: {exc}",
+            file=sys.stderr,
+        )
+        raise SystemExit(2) from None
 
 
 DEFAULT_RELAX = 0.3
@@ -855,7 +862,7 @@ def main(argv=None) -> int:
             "--relax", type=float, default=None,
             help=f"relaxation over lambda_min (default {DEFAULT_RELAX})",
         )
-        cmd.add_argument("--latency", type=int, default=None,
+        cmd.add_argument("--latency", type=_positive_int, default=None,
                          help="absolute latency constraint (overrides --relax)")
 
     cmd = sub.add_parser(

@@ -24,6 +24,12 @@ resource type compatible (via current ``H`` edges) with all members;
 ``H`` membership guarantees the resource is never slower than the latency
 upper bounds used by the scheduler, so the schedule remains valid.
 
+Bindselect reads ``H`` from the WCG's id bitsets: a resource's candidates
+are its op bitset AND the uncovered ops, and a clique's covering
+resources are the AND of its members' resource bitsets.  It works on
+resource ids throughout and builds :class:`ResourceType` values only for
+the returned :class:`Binding`.
+
 **Incremental Bindselect** (see ``docs/architecture.md``): the max-chain
 kernel is a pure function of the candidate tuple and its members'
 ``(start, L_o)`` values, so the solver pipeline persists a
@@ -43,7 +49,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..resources.area import AreaModel
 from ..resources.types import ResourceType
-from .wcg import WordlengthCompatibilityGraph
+from .wcg import WordlengthCompatibilityGraph, bit_ids
 
 __all__ = [
     "BindIndex",
@@ -176,96 +182,33 @@ def max_chain(
 
 
 class BindIndex:
-    """Dense-id interning of ops and resources for array-shaped Bindselect.
+    """The area-model side of Bindselect, per resource id of the WCG.
 
-    Static per solve: operation names are interned to dense ids in
-    sorted-name order (so a bitset over op ids decodes to a
-    sorted-name candidate list), resources
-    keep the ``wcg.resources`` greedy iteration order, and each
-    resource's area is captured both in *cheap order* -- sorted by
-    ``(area, resource)``, so the lowest set bit of a cheap-order
-    resource bitset IS the cheapest covering resource -- and as an
-    exact integer ratio ``(num, den)`` for the greedy ``|clique|/cost``
-    comparison (``float.as_integer_ratio`` is exact for every float, so
-    the comparison is exact whatever the area model returns).
-
-    Dynamic per ``H`` state (:meth:`sync`, keyed on the monotone
-    ``wcg.edge_count()``): per-resource compatible-op bitsets over op
-    ids, and per-op compatible-resource bitsets over cheap-order
-    indices.  Cover probing (Eqn. 4) is a bitset AND + lowest-set-bit
-    instead of a per-op set intersection.
+    ``areas[r]`` prices resource ``r`` for the Eqn. 4 cheapest-cover
+    choice (:meth:`cheapest`), and ``cost_ratio[r]`` is the same area as
+    an exact integer ratio ``(num, den)`` for the greedy
+    ``|clique|/cost`` comparison (``float.as_integer_ratio`` is exact
+    for every float, so the comparison is exact whatever the area model
+    returns).  Everything ``H``-dependent is read from the WCG's
+    bitsets, so the index never goes stale.
     """
 
     def __init__(
         self, wcg: WordlengthCompatibilityGraph, area_model: AreaModel
     ) -> None:
-        self.op_names: Tuple[str, ...] = tuple(
-            sorted(op.name for op in wcg.operations)
-        )
-        self.op_id: Dict[str, int] = {n: i for i, n in enumerate(self.op_names)}
-        self.resources: Tuple[ResourceType, ...] = wcg.resources
-        self.cheap_order: Tuple[ResourceType, ...] = tuple(
-            sorted(self.resources, key=lambda r: (area_model.area(r), r))
-        )
-        self.cost_ratio: Dict[ResourceType, Tuple[int, int]] = {
-            r: area_model.area(r).as_integer_ratio() for r in self.resources
-        }
-        self._cheap_bit: Dict[ResourceType, int] = {
-            r: 1 << i for i, r in enumerate(self.cheap_order)
-        }
-        # H-dependent bitsets, rebuilt by sync() when the edge set moves.
-        self.ops_mask: Dict[ResourceType, int] = {}
-        self.res_mask: List[int] = []
-        self._h_version: int = -1
+        self.areas: List[float] = [area_model.area(r) for r in wcg.resources]
+        self.cost_ratio: List[Tuple[int, int]] = [
+            area.as_integer_ratio() for area in self.areas
+        ]
 
-    def sync(self, wcg: WordlengthCompatibilityGraph) -> None:
-        """Rebuild the ``H``-dependent bitsets if the edge set changed.
+    def cheapest(self, mask: int) -> int:
+        """Id of the cheapest resource in a nonempty resource-id bitset.
 
-        Refinement only ever *deletes* ``H`` edges, so along one solve's
-        trajectory the monotone ``edge_count()`` identifies the edge set
-        exactly -- an equal count means nothing moved.
+        Ids ascend in resource order and ``min`` keeps the first of
+        equal keys, so this is the first resource in ``(area,
+        resource)`` order.
         """
-        version = wcg.edge_count()
-        if version == self._h_version:
-            return
-        self._h_version = version
-        res_mask = [0] * len(self.op_names)
-        for resource in self.resources:
-            mask = 0
-            rbit = self._cheap_bit[resource]
-            for name in wcg.ops_for_resource(resource):
-                i = self.op_id[name]
-                mask |= 1 << i
-                res_mask[i] |= rbit
-            self.ops_mask[resource] = mask
-        self.res_mask = res_mask
-
-    def names_from_mask(self, mask: int) -> List[str]:
-        """Decode an op-id bitset to names, in sorted-name order."""
-        names = self.op_names
-        out: List[str] = []
-        while mask:
-            low = mask & -mask
-            out.append(names[low.bit_length() - 1])
-            mask ^= low
-        return out
-
-    def cover_mask(self, ops: Sequence[str]) -> int:
-        """Cheap-order bitset of resources covering every op (Eqn. 4)."""
-        res_mask = self.res_mask
-        op_id = self.op_id
-        mask = -1
-        for name in ops:
-            mask &= res_mask[op_id[name]]
-            if not mask:
-                return 0
-        return mask
-
-    def cheapest_from_mask(self, mask: int) -> Optional[ResourceType]:
-        """Cheapest resource in a cheap-order bitset (its lowest set bit)."""
-        if not mask:
-            return None
-        return self.cheap_order[(mask & -mask).bit_length() - 1]
+        return min(bit_ids(mask), key=self.areas.__getitem__)
 
 
 class ChainCache:
@@ -292,9 +235,11 @@ class ChainCache:
     """
 
     def __init__(self, max_entries_per_resource: int = 64) -> None:
-        # Per resource: uncovered-candidate op-id bitset -> chain.
-        self._chains: Dict[ResourceType, Dict[int, Tuple[str, ...]]] = {}
+        # Per resource id: uncovered-candidate op-id bitset -> chain.
+        self._chains: Dict[int, Dict[int, Tuple[str, ...]]] = {}
         self._index: Optional[BindIndex] = None
+        self._op_names: Tuple[str, ...] = ()
+        self._op_id: Mapping[str, int] = {}
         self._starts: Dict[str, int] = {}
         self._latencies: Dict[str, int] = {}
         self._max_entries = max_entries_per_resource
@@ -305,16 +250,17 @@ class ChainCache:
     def ensure_index(
         self, wcg: WordlengthCompatibilityGraph, area_model: AreaModel
     ) -> BindIndex:
-        """The solve-scoped :class:`BindIndex`, built once and synced.
+        """The solve-scoped :class:`BindIndex`, built on first use.
 
-        The op/resource universe and the area model are fixed for the
-        lifetime of one solver state (refinement only deletes ``H``
-        edges), so the interning tables are built on first use and only
-        the ``H``-dependent bitsets are refreshed.
+        The op/resource ids and the area model are fixed for the
+        lifetime of one solver state (refinement only clears ``H`` bits,
+        which Bindselect reads from the WCG), so the index is never
+        rebuilt.
         """
         if self._index is None:
             self._index = BindIndex(wcg, area_model)
-        self._index.sync(wcg)
+            self._op_names = wcg.op_names
+            self._op_id = wcg.op_id
         return self._index
 
     def refresh(
@@ -334,11 +280,11 @@ class ChainCache:
             or self._latencies.get(n) != latencies[n]
         }
         dropped = 0
-        if changed and self._index is not None and self._chains:
+        if changed and self._chains:
             changed_mask = 0
             # reprolint: disable=RL001(order-insensitive: bitwise OR commutes)
             for n in changed:
-                changed_mask |= 1 << self._index.op_id[n]
+                changed_mask |= 1 << self._op_id[n]
             for chains in self._chains.values():
                 stale = [key for key in chains if key & changed_mask]
                 for key in stale:
@@ -351,17 +297,16 @@ class ChainCache:
 
     def chain_for_mask(
         self,
-        resource: ResourceType,
+        resource: int,
         cand_mask: int,
-        index: BindIndex,
         schedule: Mapping[str, int],
         latencies: Mapping[str, int],
     ) -> List[str]:
         """The max chain of the candidates in ``cand_mask``, memoised.
 
-        The key is the candidate op-id bitset, which decodes to the
-        sorted-name candidate list :func:`max_chain` is run on; a hit
-        builds no tuple and hashes no strings.
+        ``resource`` is a resource id and ``cand_mask`` an op-id bitset,
+        which decodes to the sorted-name candidate list :func:`max_chain`
+        is run on; a hit builds no tuple and hashes no strings.
         """
         chains = self._chains.setdefault(resource, {})
         cached = chains.get(cand_mask)
@@ -372,7 +317,10 @@ class ChainCache:
             chains[cand_mask] = chains.pop(cand_mask)
             return list(cached)
         self.misses += 1
-        result = max_chain(index.names_from_mask(cand_mask), schedule, latencies)
+        names = self._op_names
+        result = max_chain(
+            [names[i] for i in bit_ids(cand_mask)], schedule, latencies
+        )
         while len(chains) >= self._max_entries:
             del chains[next(iter(chains))]  # least recently used
             self.evicted += 1
@@ -453,13 +401,13 @@ def bindselect(
     """
     cache = chain_cache if chain_cache is not None else ChainCache()
     index = cache.ensure_index(wcg, area_model)
-    op_id = index.op_id
+    op_id = wcg.op_id
+    h_by_op = wcg.h_by_op
     cost_ratio = index.cost_ratio
-    uncovered = (1 << len(index.op_names)) - 1
-    # Selected cliques carry their covering-resource bitset so the grow
-    # step probes (clique, prev) pairs with one AND instead of
-    # re-deriving compatible_resources per member per pair.
-    selected: List[Tuple[ResourceType, List[str], int]] = []
+    uncovered = (1 << len(wcg.op_names)) - 1
+    # Selected cliques carry their resource id and covering-resource
+    # bitset, so the grow step probes (clique, prev) pairs with one AND.
+    selected: List[Tuple[int, List[str], int]] = []
 
     while uncovered:
         # Exact greedy criterion: maximise |chain| / cost, tie-break on
@@ -467,14 +415,12 @@ def bindselect(
         # ratio comparison cross-multiplies to integers, so ties can
         # never depend on float rounding (satisfying the parity
         # contract for any area magnitudes).
-        best: Optional[Tuple[int, int, int, ResourceType, List[str]]] = None
-        for resource in index.resources:
-            cand_mask = index.ops_mask[resource] & uncovered
+        best: Optional[Tuple[int, int, int, int, List[str]]] = None
+        for resource, ops in enumerate(wcg.h_by_resource):
+            cand_mask = ops & uncovered
             if not cand_mask:
                 continue
-            chain = cache.chain_for_mask(
-                resource, cand_mask, index, schedule, latencies
-            )
+            chain = cache.chain_for_mask(resource, cand_mask, schedule, latencies)
             num, den = cost_ratio[resource]
             if best is None:
                 best = (len(chain), num, den, resource, chain)
@@ -485,15 +431,17 @@ def bindselect(
             if lhs > rhs or (lhs == rhs and num * b_den < b_num * den):
                 best = (len(chain), num, den, resource, chain)
         if best is None:
-            missing = index.names_from_mask(uncovered)
+            missing = [wcg.op_names[i] for i in bit_ids(uncovered)]
             raise RuntimeError(f"operations without any compatible resource: {missing}")
         _, _, _, resource, clique = best
-        clique_rmask = index.cover_mask(clique)
+        # Eqn. 4 probe: the resources with an H edge to every member.
+        clique_rmask = -1
         for name in clique:
             uncovered &= ~(1 << op_id[name])
+            clique_rmask &= h_by_op[op_id[name]]
 
         if grow:
-            survivors: List[Tuple[ResourceType, List[str], int]] = []
+            survivors: List[Tuple[int, List[str], int]] = []
             for prev_resource, prev_ops, prev_rmask in selected:
                 union_rmask = clique_rmask & prev_rmask
                 merged = (
@@ -504,9 +452,7 @@ def bindselect(
                 if merged is not None:
                     clique = merged
                     clique_rmask = union_rmask
-                    resource = index.cheap_order[
-                        (union_rmask & -union_rmask).bit_length() - 1
-                    ]
+                    resource = index.cheapest(union_rmask)
                 else:
                     survivors.append((prev_resource, prev_ops, prev_rmask))
             selected = survivors
@@ -516,12 +462,11 @@ def bindselect(
 
     if shrink:
         selected = [
-            (index.cheapest_from_mask(rmask) or resource, ops, rmask)
-            for resource, ops, rmask in selected
+            (index.cheapest(rmask), ops, rmask) for _, ops, rmask in selected
         ]
 
     cliques = tuple(
-        BoundClique(resource, tuple(ops))
+        BoundClique(wcg.resources[resource], tuple(ops))
         for resource, ops, _ in sorted(
             selected, key=lambda item: (schedule[item[1][0]], item[1])
         )

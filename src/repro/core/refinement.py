@@ -43,7 +43,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
 from ..resources.types import ResourceType
 from .binding import Binding
 from .problem import InfeasibleError
-from .wcg import WordlengthCompatibilityGraph
+from .wcg import WordlengthCompatibilityGraph, bit_ids
 
 __all__ = [
     "augmented_edges",
@@ -364,10 +364,11 @@ def _edge_loss_proportion(
     resources compatible with ``name`` -- the paper's
     ``{{o1, r} in H : exists {o, r} in H}``.
     """
-    bound = wcg.upper_bound_latency(name)
-    compatible = wcg.compatible_resources(name)
-    deleted = sum(1 for r in compatible if wcg.latency(r) == bound)
-    neighbourhood = sum(len(wcg.ops_for_resource(r)) for r in compatible)
+    deleted = wcg.slowest_edges(name).bit_count()
+    h_by_resource = wcg.h_by_resource
+    neighbourhood = sum(
+        h_by_resource[r].bit_count() for r in bit_ids(wcg.h_by_op[wcg.op_id[name]])
+    )
     assert neighbourhood > 0
     return deleted / neighbourhood
 

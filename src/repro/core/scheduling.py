@@ -42,7 +42,7 @@ from typing import Dict, FrozenSet, List, Mapping, Optional, Set, Tuple
 from ..ir.seqgraph import SequencingGraph
 from ..resources.types import ResourceType
 from .problem import InfeasibleError
-from .wcg import WordlengthCompatibilityGraph
+from .wcg import WordlengthCompatibilityGraph, bit_ids
 
 __all__ = [
     "Eqn2Tracker",
@@ -102,33 +102,35 @@ class Eqn3Tracker:
         self._scheduling_set = (
             scheduling_set if scheduling_set is not None else wcg.scheduling_set()
         )
-        member_id = {s: i for i, s in enumerate(self._scheduling_set)}
-        # S(o) per op, and the shared denominator D = lcm over |S(o)|.
-        self._members_of: Dict[str, Tuple[ResourceType, ...]] = {}
+        # S as a resource-id bitset of the WCG, and each member id's rank
+        # in S; a member the WCG does not know covers nothing.
+        rank: Dict[int, int] = {}
+        for i, s in enumerate(self._scheduling_set):
+            rid = wcg.resource_id.get(s)
+            if rid is not None:
+                rank[rid] = i
+        s_mask = sum(1 << rid for rid in rank)
+        # S(o) per op as member ranks, and D = lcm over |S(o)|.
+        self._member_ids_of: Dict[str, Tuple[int, ...]] = {}
         for op in wcg.operations:
-            members = wcg.members_covering(op.name, self._scheduling_set)
-            if not members:
+            covering = wcg.h_by_op[wcg.op_id[op.name]] & s_mask
+            if not covering:
                 raise InfeasibleError(
                     f"operation {op.name!r} not covered by the scheduling set"
                 )
-            self._members_of[op.name] = members
+            self._member_ids_of[op.name] = tuple(rank[r] for r in bit_ids(covering))
         self._denominator = math.lcm(
-            *(len(m) for m in self._members_of.values())
-        ) if self._members_of else 1
+            *(len(m) for m in self._member_ids_of.values())
+        ) if self._member_ids_of else 1
         d = self._denominator
         # Scaled equal shares (section 2.2): share(o) = D / |S(o)|, exact.
         self._share_scaled: Dict[str, int] = {
             name: d // len(members)
-            for name, members in self._members_of.items()
+            for name, members in self._member_ids_of.items()
         }
-        self._member_ids_of: Dict[str, Tuple[int, ...]] = {
-            name: tuple(member_id[s] for s in members)
-            for name, members in self._members_of.items()
-        }
-        # H edges never cross kinds, so an op's kind is its members' kind.
+        # H edges never cross kinds, so an op's members share its kind.
         self._kind_of_op: Dict[str, str] = {
-            name: members[0].kind
-            for name, members in self._members_of.items()
+            op.name: op.resource_kind for op in wcg.operations
         }
         # Per member: flat scaled-integer load vector (index = control
         # step, grown on demand) and its running peak; per kind: the
@@ -152,7 +154,7 @@ class Eqn3Tracker:
         return self._denominator
 
     def members_of(self, name: str) -> Tuple[ResourceType, ...]:
-        return self._members_of[name]
+        return tuple(self._scheduling_set[m] for m in self._member_ids_of[name])
 
     def share(self, name: str) -> Fraction:
         """The op's equal share ``1/|S(o)|`` (exact)."""

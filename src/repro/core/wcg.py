@@ -15,21 +15,39 @@
   subgraph ``G'(O, C)`` -- the property that lets binding find maximum
   cliques in linear time (Golumbic [11]).
 
-This class owns the mutable ``H`` edge set plus the latency quantities
-derived from it, and computes the *scheduling set* ``S`` (minimum subset
-of ``R`` covering all operations) required by the Eqn. 3 constraint.
+This class is the only holder of ``H``.  Operations are interned to
+dense ids in sorted-name order (:attr:`op_names`) and resources in
+sorted order (:attr:`resources`), once per graph, and ``H`` is stored
+only as bitsets: :attr:`h_by_op` holds each op's compatible resource
+ids and :attr:`h_by_resource` each resource's compatible op ids.
+Refinement clears bits in both.  Ascending bit order is sorted order,
+so the accessors that return names or :class:`ResourceType` values
+decode without sorting; Bindselect, the Eqn. 3 tracker and the
+refinement selector read the bitsets directly.  The class also
+computes the *scheduling set* ``S`` (minimum subset of ``R`` covering
+all operations) required by the Eqn. 3 constraint.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
 from ..ir.ops import Operation
 from ..resources.latency import LatencyModel
 from ..resources.types import ResourceType
 from ..utils.covering import min_cardinality_cover
 
-__all__ = ["WordlengthCompatibilityGraph"]
+__all__ = ["WordlengthCompatibilityGraph", "bit_ids"]
+
+
+def bit_ids(mask: int) -> List[int]:
+    """Positions of the set bits of ``mask``, ascending."""
+    ids: List[int] = []
+    while mask:
+        low = mask & -mask
+        ids.append(low.bit_length() - 1)
+        mask ^= low
+    return ids
 
 
 class WordlengthCompatibilityGraph:
@@ -45,39 +63,45 @@ class WordlengthCompatibilityGraph:
         self._ops: Dict[str, Operation] = {op.name: op for op in ops}
         self._resources: Tuple[ResourceType, ...] = tuple(sorted(set(resources)))
         self._latency_model = latency_model
-        self._latency_cache: Dict[ResourceType, int] = {
-            r: latency_model.latency(r) for r in self._resources
+        self.op_names: Tuple[str, ...] = tuple(sorted(self._ops))
+        self.op_id: Dict[str, int] = {n: i for i, n in enumerate(self.op_names)}
+        self.resource_id: Dict[ResourceType, int] = {
+            r: i for i, r in enumerate(self._resources)
         }
+        self._latencies: Tuple[int, ...] = tuple(
+            latency_model.latency(r) for r in self._resources
+        )
+        # Resource-id bitset of each latency class, slowest class first.
+        classes: Dict[int, int] = {}
+        for rid, cycles in enumerate(self._latencies):
+            classes[cycles] = classes.get(cycles, 0) | 1 << rid
+        self._latency_classes = tuple(sorted(classes.items(), reverse=True))
 
-        if h_edges is None:
-            self._h: Dict[str, Set[ResourceType]] = {
-                name: {r for r in self._resources if r.covers(op)}
-                for name, op in self._ops.items()
-            }
-        else:
-            self._h = {
-                name: set(h_edges.get(name, ())) for name in self._ops
-            }
-        for name, compatible in self._h.items():
+        self.h_by_op: List[int] = [0] * len(self.op_names)
+        self.h_by_resource: List[int] = [0] * len(self._resources)
+        for name, op in self._ops.items():
+            compatible = tuple(
+                (r for r in self._resources if r.covers(op))
+                if h_edges is None
+                else h_edges.get(name, ())
+            )
             if not compatible:
                 raise ValueError(
                     f"operation {name!r} has no compatible resource type"
                 )
+            i = self.op_id[name]
             for r in compatible:
-                if not r.covers(self._ops[name]):
+                rid = self.resource_id.get(r)
+                if rid is None:
+                    raise ValueError(
+                        f"edge {{{name}, {r}}} names a resource outside "
+                        f"the resource set"
+                    )
+                if not r.covers(op):
                     raise ValueError(f"edge {{{name}, {r}}} is not a coverage edge")
-        # Reverse H index (resource -> op names), maintained under
-        # refinement so O(r) lookups never rescan the whole edge set.
-        self._ops_by_resource: Dict[ResourceType, Set[str]] = {
-            r: set() for r in self._resources
-        }
-        for name, compatible in self._h.items():
-            for r in compatible:
-                self._ops_by_resource[r].add(name)
-        # Sorted-neighbourhood caches; refinement drops the refined
-        # op's entry (and its victims' reverse entries) only.
-        self._sorted_h: Dict[str, Tuple[ResourceType, ...]] = {}
-        self._sorted_ops: Dict[ResourceType, Tuple[str, ...]] = {}
+                self.h_by_op[i] |= 1 << rid
+                self.h_by_resource[rid] |= 1 << i
+        self._edges = sum(mask.bit_count() for mask in self.h_by_op)
 
     # ------------------------------------------------------------------
     # basic accessors
@@ -95,46 +119,49 @@ class WordlengthCompatibilityGraph:
 
     def latency(self, resource: ResourceType) -> int:
         """Cycles needed by one execution on ``resource``."""
-        return self._latency_cache[resource]
+        return self._latencies[self.resource_id[resource]]
 
-    # passaudit: const(lazy sort memo; refine() drops the entry)
     def compatible_resources(self, name: str) -> Tuple[ResourceType, ...]:
         """Current ``H`` neighbours of operation ``name``, sorted."""
-        cached = self._sorted_h.get(name)
-        if cached is None:
-            cached = tuple(sorted(self._h[name]))
-            self._sorted_h[name] = cached
-        return cached
+        resources = self._resources
+        return tuple(resources[r] for r in bit_ids(self.h_by_op[self.op_id[name]]))
 
-    # passaudit: const(lazy sort memo; refine() drops affected entries)
     def ops_for_resource(self, resource: ResourceType) -> Tuple[str, ...]:
         """``O(r)``: operations with a current ``H`` edge to ``resource``."""
-        members = self._ops_by_resource.get(resource)
-        if members is None:
+        rid = self.resource_id.get(resource)
+        if rid is None:
             return ()
-        cached = self._sorted_ops.get(resource)
-        if cached is None:
-            cached = tuple(sorted(members))
-            self._sorted_ops[resource] = cached
-        return cached
-
-    def has_edge(self, name: str, resource: ResourceType) -> bool:
-        return resource in self._h[name]
+        names = self.op_names
+        return tuple(names[i] for i in bit_ids(self.h_by_resource[rid]))
 
     def edge_count(self) -> int:
         """Total number of ``H`` edges (monotone under refinement)."""
-        return sum(len(res) for res in self._h.values())
+        return self._edges
 
     # ------------------------------------------------------------------
     # latency bounds (Table 1: L_o and the per-resource latencies)
     # ------------------------------------------------------------------
+    def _slowest(self, name: str) -> Tuple[int, int, int]:
+        """``(L_o, slowest edges, all edges)``; edges as resource-id bitsets."""
+        edges = self.h_by_op[self.op_id[name]]
+        return next(
+            (cycles, edges & members, edges)
+            for cycles, members in self._latency_classes
+            if edges & members
+        )
+
     def upper_bound_latency(self, name: str) -> int:
         """``L_o``: slowest compatible resource of operation ``name``."""
-        return max(self._latency_cache[r] for r in self._h[name])
+        return self._slowest(name)[0]
+
+    def slowest_edges(self, name: str) -> int:
+        """Resource-id bitset of the edges :meth:`refine` would delete."""
+        return self._slowest(name)[1]
 
     def min_latency(self, name: str) -> int:
         """Fastest compatible resource of operation ``name``."""
-        return min(self._latency_cache[r] for r in self._h[name])
+        edges = self.h_by_op[self.op_id[name]]
+        return min(c for c, members in self._latency_classes if edges & members)
 
     def upper_bound_latencies(self) -> Dict[str, int]:
         """``L_o`` for every operation."""
@@ -142,28 +169,26 @@ class WordlengthCompatibilityGraph:
 
     def can_refine(self, name: str) -> bool:
         """Whether deleting the slowest edges would leave the op coverable."""
-        latencies = {self._latency_cache[r] for r in self._h[name]}
-        return len(latencies) > 1
+        _, slowest, edges = self._slowest(name)
+        return slowest != edges
 
     def refine(self, name: str) -> List[ResourceType]:
         """Delete all edges ``{name, r}`` with ``latency(r) == L_name``.
 
         Paper section 2.4, final step.  Returns the deleted resource
-        types.  Raises ``ValueError`` if the operation cannot be refined
-        (all its compatible resources share one latency).
+        types, sorted.  Raises ``ValueError`` if the operation cannot be
+        refined (all its compatible resources share one latency).
         """
-        if not self.can_refine(name):
+        _, victims, edges = self._slowest(name)
+        if victims == edges:
             raise ValueError(f"operation {name!r} cannot be refined further")
-        bound = self.upper_bound_latency(name)
-        victims = sorted(
-            r for r in self._h[name] if self._latency_cache[r] == bound
-        )
-        self._h[name] -= set(victims)
-        self._sorted_h.pop(name, None)
-        for r in victims:
-            self._ops_by_resource[r].discard(name)
-            self._sorted_ops.pop(r, None)
-        return victims
+        i = self.op_id[name]
+        self.h_by_op[i] = edges ^ victims
+        deleted = bit_ids(victims)
+        for rid in deleted:
+            self.h_by_resource[rid] ^= 1 << i
+        self._edges -= len(deleted)
+        return [self._resources[rid] for rid in deleted]
 
     # ------------------------------------------------------------------
     # scheduling set (section 2.2)
@@ -187,9 +212,10 @@ class WordlengthCompatibilityGraph:
             for name, op in self._ops.items()
             if op.resource_kind == kind
         }
+        names = self.op_names
         sets = {
-            r: self._ops_by_resource[r] & universe
-            for r in self._resources
+            r: {names[i] for i in bit_ids(self.h_by_resource[rid])}
+            for rid, r in enumerate(self._resources)
             if r.kind == kind
         }
         cover = min_cardinality_cover(universe, sets)
@@ -209,8 +235,15 @@ class WordlengthCompatibilityGraph:
     def members_covering(
         self, name: str, scheduling_set: Iterable[ResourceType]
     ) -> Tuple[ResourceType, ...]:
-        """``S(o)``: scheduling-set members with an ``H`` edge to ``name``."""
-        return tuple(sorted(s for s in scheduling_set if s in self._h[name]))
+        """``S(o)``: scheduling-set members with an ``H`` edge to ``name``.
+
+        A member the graph does not know covers nothing.
+        """
+        edges = self.h_by_op[self.op_id[name]]
+        ids = self.resource_id
+        return tuple(
+            sorted(s for s in scheduling_set if s in ids and edges >> ids[s] & 1)
+        )
 
     # ------------------------------------------------------------------
     # compatibility edges C (derived from a schedule)
@@ -224,7 +257,7 @@ class WordlengthCompatibilityGraph:
         from these cliques never violates the schedule (section 2.3).
         The relation is an interval order, hence transitively closed.
         """
-        names = sorted(self._ops)
+        names = self.op_names
         edges: Set[Tuple[str, str]] = set()
         for o1 in names:
             finish = schedule[o1] + latencies[o1]
@@ -236,16 +269,12 @@ class WordlengthCompatibilityGraph:
     # ------------------------------------------------------------------
     # bookkeeping
     # ------------------------------------------------------------------
-    def h_snapshot(self) -> Dict[str, FrozenSet[ResourceType]]:
-        """Immutable snapshot of the current ``H`` edges (for traces)."""
-        return {name: frozenset(res) for name, res in self._h.items()}
-
     def copy(self) -> "WordlengthCompatibilityGraph":
         return WordlengthCompatibilityGraph(
             self.operations,
             self._resources,
             self._latency_model,
-            h_edges={name: set(res) for name, res in self._h.items()},
+            h_edges={name: self.compatible_resources(name) for name in self._ops},
         )
 
     def __repr__(self) -> str:

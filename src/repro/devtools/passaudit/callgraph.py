@@ -20,9 +20,8 @@ can mark their summaries incomplete instead of silently guessing.
 
 The ``# passaudit: const(reason)`` pragma, parsed here, declares a
 method *logically* read-only: memoising query methods (lazy caches
-such as ``WordlengthCompatibilityGraph.compatible_resources`` or
-``SequencingGraph.topological_order``) write private cache attributes
-inside what is semantically a pure query.  The pragma drops the
+such as ``SequencingGraph.topological_order``) write private cache
+attributes inside what is semantically a pure query.  The pragma drops the
 method's self-writes from effect summaries; the reason is mandatory
 and a reasonless or dangling pragma is itself reported (RL006).
 """

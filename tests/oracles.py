@@ -8,8 +8,12 @@ exact equality:
 
 * :func:`reference_max_chain` -- the quadratic max-chain DP behind
   :func:`repro.core.binding.max_chain` (O(k log k) retire pointer);
+* :class:`ReferenceH` -- ``H`` as a dict of sets, behind the
+  :class:`repro.core.wcg.WordlengthCompatibilityGraph` id bitsets and
+  their decoding accessors;
 * :func:`cheapest_covering_resource` -- per-op set intersection plus
-  ``min``, behind ``BindIndex.cover_mask`` + ``cheapest_from_mask``;
+  ``min``, behind Bindselect's Eqn. 4 probe (an AND of the members'
+  resource bitsets, then ``BindIndex.cheapest``);
 * :class:`Eqn3TrackerReference` -- ``Fraction`` arithmetic behind the
   scaled-integer :class:`repro.core.scheduling.Eqn3Tracker`.
 """
@@ -21,8 +25,11 @@ from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.core.problem import InfeasibleError
 from repro.core.wcg import WordlengthCompatibilityGraph
+from repro.ir.ops import Operation
 from repro.resources.area import AreaModel
+from repro.resources.latency import LatencyModel
 from repro.resources.types import ResourceType
+from repro.utils.covering import min_cardinality_cover
 
 
 def reference_max_chain(
@@ -58,15 +65,71 @@ def reference_max_chain(
     return chain
 
 
+class ReferenceH:
+    """The ``H`` edge set as a dict of sets, refined by deleting slowest edges.
+
+    Starts from the coverage edges and answers the WCG's ``H`` queries
+    by plain set scans and sorts.
+    """
+
+    def __init__(
+        self,
+        ops: Sequence[Operation],
+        resources: Sequence[ResourceType],
+        latency_model: LatencyModel,
+    ) -> None:
+        self.ops = {op.name: op for op in ops}
+        self.latency = {r: latency_model.latency(r) for r in resources}
+        self.h: Dict[str, Set[ResourceType]] = {
+            name: {r for r in resources if r.covers(op)}
+            for name, op in self.ops.items()
+        }
+
+    def compatible_resources(self, name: str) -> Tuple[ResourceType, ...]:
+        return tuple(sorted(self.h[name]))
+
+    def ops_for_resource(self, resource: ResourceType) -> Tuple[str, ...]:
+        return tuple(sorted(n for n, rs in self.h.items() if resource in rs))
+
+    def edge_count(self) -> int:
+        return sum(len(rs) for rs in self.h.values())
+
+    def upper_bound_latency(self, name: str) -> int:
+        return max(self.latency[r] for r in self.h[name])
+
+    def can_refine(self, name: str) -> bool:
+        return len({self.latency[r] for r in self.h[name]}) > 1
+
+    def refine(self, name: str) -> List[ResourceType]:
+        bound = self.upper_bound_latency(name)
+        victims = sorted(r for r in self.h[name] if self.latency[r] == bound)
+        self.h[name] -= set(victims)
+        return victims
+
+    def kind_cover(self, kind: str) -> Tuple[ResourceType, ...]:
+        universe = {n for n, op in self.ops.items() if op.resource_kind == kind}
+        sets = {
+            r: {n for n in universe if r in self.h[n]}
+            for r in self.latency
+            if r.kind == kind
+        }
+        return tuple(sorted(min_cardinality_cover(universe, sets)))
+
+    def members_covering(
+        self, name: str, scheduling_set: Sequence[ResourceType]
+    ) -> Tuple[ResourceType, ...]:
+        return tuple(sorted(s for s in scheduling_set if s in self.h[name]))
+
+
 def cheapest_covering_resource(
     ops: Sequence[str],
-    wcg: WordlengthCompatibilityGraph,
+    h: ReferenceH,
     area_model: AreaModel,
 ) -> Optional[ResourceType]:
     """Cheapest resource with a current H edge to every op (Eqn. 4)."""
     candidates: Optional[Set[ResourceType]] = None
     for name in ops:
-        compatible = set(wcg.compatible_resources(name))
+        compatible = h.h[name]
         candidates = compatible if candidates is None else candidates & compatible
         if not candidates:
             return None

@@ -228,14 +228,14 @@ class TestChainCache:
 
     def make_cache(self, **kwargs):
         cache = ChainCache(**kwargs)
-        self.index = cache.ensure_index(self.wcg, AREA)
+        cache.ensure_index(self.wcg, AREA)
         cache.refresh(self.schedule, self.latencies, self.names)
         return cache
 
     def lookup(self, cache, resource, candidates, schedule=None):
-        mask = sum(1 << self.index.op_id[n] for n in candidates)
+        mask = sum(1 << self.wcg.op_id[n] for n in candidates)
         return cache.chain_for_mask(
-            resource, mask, self.index, schedule or self.schedule,
+            self.wcg.resource_id[resource], mask, schedule or self.schedule,
             self.latencies,
         )
 

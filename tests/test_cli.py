@@ -193,9 +193,11 @@ class TestCompare:
             assert method in out
         assert "timeout" not in out
 
-    def test_unknown_workload_fails(self):
-        with pytest.raises(FileNotFoundError):
+    def test_unknown_workload_fails(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
             main(["compare", "not-a-workload"])
+        assert excinfo.value.code == 2
+        assert "cannot load 'not-a-workload'" in capsys.readouterr().err
 
 
 class TestBatch:
@@ -267,6 +269,42 @@ class TestParser:
     def test_unknown_method_rejected(self):
         with pytest.raises(SystemExit):
             main(["allocate", "fir", "--method", "quantum"])
+
+    @pytest.mark.parametrize("argv", [
+        ["allocate", "fir", "--latency", "0"],
+        ["compare", "fir", "--latency", "0"],
+        ["batch", "fir", "--latency", "-2"],
+        ["delta", "fir", "--latency", "0", "--edit", "latency=40"],
+    ])
+    def test_nonpositive_latency_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "--latency: must be >= 1" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", [
+        ["allocate"], ["compare"], ["batch"], ["delta"],
+        ["shard", "--shards", "2", "--out-dir"],
+    ])
+    def test_unloadable_workload_is_a_usage_error(
+        self, command, tmp_path, capsys
+    ):
+        not_a_graph = tmp_path / "datapath.json"
+        save_json({"kind": "datapath"}, not_a_graph)
+        tail = [str(tmp_path / "shards")] if command[0] == "shard" else []
+        for source, error in (
+            ("nosuch", "No such file"),
+            (str(not_a_graph), "not a sequencing graph payload"),
+        ):
+            with pytest.raises(SystemExit) as excinfo:
+                main([command[0], source, *command[1:], *tail])
+            assert excinfo.value.code == 2
+            err = capsys.readouterr().err
+            assert f"cannot load {source!r}" in err
+            assert ", ".join(sorted(WORKLOADS)) in err and error in err
+            assert "Traceback" not in err
 
 
 class TestServiceFlagConsolidation:

@@ -135,12 +135,13 @@ class TestCheckerHardening:
             SonicLatencyModel(),
         )
         cache = ChainCache(max_entries_per_resource=2)
-        index = cache.ensure_index(wcg, SonicAreaModel())
+        cache.ensure_index(wcg, SonicAreaModel())
         cache.refresh(schedule, latencies, ("a", "b", "c"))
 
         def lookup(*names):
-            mask = sum(1 << index.op_id[n] for n in names)
-            return cache.chain_for_mask(resource, mask, index, schedule, latencies)
+            mask = sum(1 << wcg.op_id[n] for n in names)
+            rid = wcg.resource_id[resource]
+            return cache.chain_for_mask(rid, mask, schedule, latencies)
 
         lookup("a", "b", "c")  # hot
         lookup("b")

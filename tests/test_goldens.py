@@ -15,8 +15,13 @@
   then repairs, the chain cache hits, and the schedule pass resumes a
   non-empty warm prefix.  Bounds, not exact counts, so the greedy may
   evaluate fewer chains without breaking them.
-* **Oracle agreement** -- ``max_chain`` and the Bindselect cover probe
-  against the reference formulations in ``tests/oracles.py``.
+* **Hashing bounds** -- ``ResourceType.__hash__`` calls per solve loop.
+  ``H`` lives in id bitsets, so Bindselect hashes no ``ResourceType``
+  in either mode, and each incremental loop stays at or below its
+  measured count.
+* **Oracle agreement** -- ``max_chain``, the bitset ``H`` and the
+  Bindselect cover probe against the reference formulations in
+  ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from dataclasses import dataclass
 
 import pytest
 
-from repro.core import scheduling
+from repro.core import scheduling, solver
 from repro.core.binding import BindIndex, max_chain
 from repro.core.delta import DeadlineEdit
 from repro.core.solution import Datapath
@@ -43,7 +48,12 @@ from repro.core.wcg import WordlengthCompatibilityGraph
 from repro.engine import AllocationRequest, DeltaRequest, Engine, execute_request
 from repro.experiments import build_case
 from repro.io.json_io import datapath_to_dict
-from tests.oracles import cheapest_covering_resource, reference_max_chain
+from repro.resources.types import ResourceType
+from tests.oracles import (
+    ReferenceH,
+    cheapest_covering_resource,
+    reference_max_chain,
+)
 
 # label -> (ops, relaxation over lambda_min, iterations, area, sha256)
 SOLVER_CASES = {
@@ -57,6 +67,16 @@ SOLVER_CASES = {
                    "e762ed06c3133e30c26ff7cfd85bfafdd98a532eeea4e9448d887e32a69a1e3a"),
     "tgff-160-0": (160, 0.05, 126, 5687,
                    "28384c9abde18f5488ee35dc2ca4d4049ecdfd508f0beec242dfb00a4f6bd4b0"),
+}
+
+# label -> ResourceType.__hash__ calls in one incremental solve_loop,
+# measured; an upper bound, so later work may only lower it.
+LOOP_HASHES = {
+    "tgff-48-0": 27_423,
+    "tgff-64-0": 25_579,
+    "tgff-96-0": 44_390,
+    "tgff-128-0": 93_240,
+    "tgff-160-0": 92_975,
 }
 
 # label -> (ops, sample, strategy, verified iterations, resumed iterations)
@@ -78,12 +98,40 @@ def canonical_digest(datapath: Datapath) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def count_resource_hashes(patch: pytest.MonkeyPatch) -> Counter:
+    """Count ``ResourceType.__hash__`` calls from here on.
+
+    Calls made inside the solver's ``bindselect`` count under "bind",
+    all others under "other".
+    """
+    calls: Counter = Counter()
+    where = ["other"]
+    resource_hash = ResourceType.__hash__
+    bind = solver.bindselect
+
+    def counting_hash(resource):
+        calls[where[-1]] += 1
+        return resource_hash(resource)
+
+    def counting_bindselect(*args, **kwargs):
+        where.append("bind")
+        try:
+            return bind(*args, **kwargs)
+        finally:
+            where.pop()
+
+    patch.setattr(ResourceType, "__hash__", counting_hash)
+    patch.setattr(solver, "bindselect", counting_bindselect)
+    return calls
+
+
 @dataclass
 class Solved:
     label: str
     datapath: Datapath
     state: SolverState
     warm_prefix_reuses: int
+    hashes: Counter
 
 
 @pytest.fixture(scope="module", params=sorted(SOLVER_CASES))
@@ -108,8 +156,9 @@ def solved(request) -> Solved:
     )
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(scheduling, "_warm_prefix", counting_warm_prefix)
+        hashes = count_resource_hashes(patch)
         datapath = solve_loop(state)
-    return Solved(label, datapath, state, reuses)
+    return Solved(label, datapath, state, reuses, hashes)
 
 
 class TestSolverGoldens:
@@ -118,6 +167,22 @@ class TestSolverGoldens:
         assert solved.datapath.iterations == iterations
         assert solved.datapath.area == area
         assert canonical_digest(solved.datapath) == digest
+
+    def test_bindselect_hashes_no_resource_type(self, solved):
+        assert solved.hashes["bind"] == 0
+
+
+def test_bindselect_hashes_no_resource_type_in_the_other_mode():
+    """tgff-64-0 in the solver mode the ``solved`` fixture does not use."""
+    problem = build_case(64, 0, 0.0).problem
+    state = SolverState(
+        problem, DPAllocOptions(),
+        incremental=resolve_solver_mode() != "incremental",
+    )
+    with pytest.MonkeyPatch.context() as patch:
+        hashes = count_resource_hashes(patch)
+        solve_loop(state)
+    assert hashes["bind"] == 0
 
 
 @incremental_only
@@ -135,6 +200,9 @@ class TestReuseCounts:
 
     def test_schedule_resumes_a_warm_prefix(self, solved):
         assert solved.warm_prefix_reuses > 0
+
+    def test_loop_hashes_stay_at_measured_count(self, solved):
+        assert sum(solved.hashes.values()) <= LOOP_HASHES[solved.label]
 
 
 @pytest.mark.parametrize("label", sorted(DELTA_CASES))
@@ -180,11 +248,19 @@ class TestOracleAgreement:
         assert tied > 200
 
     def test_cover_probe_matches_set_intersection_across_refinements(self):
+        """The bitset ``H`` and the Eqn. 4 probe against a set model.
+
+        Walks refinements on tgff-64-0; at every step each ``H`` query
+        of the WCG must equal :class:`ReferenceH`'s, and so must the
+        victims of each refinement.
+        """
         problem = build_case(64, 0, 0.3).problem
-        wcg = WordlengthCompatibilityGraph(
+        args = (
             problem.graph.operations, problem.resource_set(),
             problem.latency_model,
         )
+        wcg = WordlengthCompatibilityGraph(*args)
+        model = ReferenceH(*args)
         area_model = problem.area_model
         index = BindIndex(wcg, area_model)
         names = sorted(op.name for op in wcg.operations)
@@ -192,17 +268,34 @@ class TestOracleAgreement:
         refined = 0
         probes = Counter()
         for _step in range(12):
-            index.sync(wcg)
+            assert wcg.edge_count() == model.edge_count()
+            for name in names:
+                assert wcg.compatible_resources(name) == model.compatible_resources(name)
+                assert wcg.upper_bound_latency(name) == model.upper_bound_latency(name)
+                assert wcg.can_refine(name) == model.can_refine(name)
+            for resource in wcg.resources:
+                assert wcg.ops_for_resource(resource) == model.ops_for_resource(resource)
+            covers = {kind: wcg.kind_cover(kind) for kind in wcg.kinds()}
+            assert covers == {kind: model.kind_cover(kind) for kind in covers}
+            members = tuple(sorted(r for cover in covers.values() for r in cover))
+            for name in names:
+                assert wcg.members_covering(name, members) == model.members_covering(
+                    name, members
+                )
             for _ in range(150):
                 ops = rng.sample(names, rng.randint(1, 6))
-                want = cheapest_covering_resource(ops, wcg, area_model)
-                got = index.cheapest_from_mask(index.cover_mask(ops))
+                want = cheapest_covering_resource(ops, model, area_model)
+                mask = -1
+                for name in ops:
+                    mask &= wcg.h_by_op[wcg.op_id[name]]
+                got = wcg.resources[index.cheapest(mask)] if mask else None
                 assert got == want, ops
                 probes[want is None] += 1
-            refinable = [n for n in names if wcg.can_refine(n)]
+            refinable = [n for n in names if model.can_refine(n)]
             if not refinable:
                 break
-            wcg.refine(rng.choice(refinable))
+            target = rng.choice(refinable)
+            assert wcg.refine(target) == model.refine(target)
             refined += 1
         assert refined >= 5
         assert probes[True] and probes[False]  # covered and uncoverable

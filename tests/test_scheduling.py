@@ -372,6 +372,16 @@ class TestScaledIntegerTrackerEquivalence:
                 ref.place(name, start, duration)
             assert fast.lhs("mul") == ref.lhs("mul")
 
+    def test_unknown_scheduling_set_member_covers_nothing(self):
+        wcg = fig2_wcg(refined=False)
+        sched_set = (BIG, ResourceType("mul", (32, 32)))
+        fast = Eqn3Tracker(wcg, {"mul": 1}, sched_set)
+        ref = Eqn3TrackerReference(wcg, {"mul": 1}, sched_set)
+        assert fast.members_of("o1") == ref.members_of("o1") == (BIG,)
+        fast.place("o1", 0, 5)
+        ref.place("o1", 0, 5)
+        assert fast.lhs("mul") == ref.lhs("mul") == 1
+
     def test_admission_boundary_is_exact(self):
         """admits() at lhs == N exactly: <= must pass, one share over fails."""
         r1 = ResourceType("mul", (8, 8))

@@ -36,10 +36,20 @@ class TestInitialEdges:
 
     def test_explicit_non_coverage_edge_rejected(self):
         ops = [Operation("m", "mul", (16, 16))]
-        with pytest.raises(ValueError, match="not a coverage edge"):
-            WordlengthCompatibilityGraph(
-                ops, MULS, LAT, h_edges={"m": [ResourceType("mul", (8, 8))]}
-            )
+        cases = [
+            (MULS, ResourceType("mul", (8, 8)), "not a coverage edge"),
+            # Covers the op, but is not one of the graph's resources.
+            (
+                [ResourceType("mul", (8, 8)), ResourceType("mul", (16, 16))],
+                ResourceType("mul", (32, 32)),
+                r"edge \{m, 32x32 mul\} names a resource outside",
+            ),
+        ]
+        for resources, edge, message in cases:
+            with pytest.raises(ValueError, match=message):
+                WordlengthCompatibilityGraph(
+                    ops, resources, LAT, h_edges={"m": [edge]}
+                )
 
     def test_ops_for_resource(self):
         ops = [Operation("m1", "mul", (8, 8)), Operation("m2", "mul", (16, 8))]
@@ -136,6 +146,9 @@ class TestSchedulingSet:
         wcg = wcg_for(ops, MULS)
         sched = wcg.scheduling_set()
         assert wcg.members_covering("m1", sched) == sched
+        # A member the graph does not know covers nothing.
+        foreign = ResourceType("mul", (32, 32))
+        assert wcg.members_covering("m1", sched + (foreign,)) == sched
 
 
 class TestCompatibilityEdges:
