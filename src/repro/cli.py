@@ -519,7 +519,14 @@ def _run_shard_file(args) -> int:
     """
     from .engine import load_shard_manifest, run_shard
 
-    manifest = load_shard_manifest(args.from_shard)
+    try:
+        manifest = load_shard_manifest(args.from_shard)
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        print(
+            f"batch --from-shard: cannot load {args.from_shard!r}: {exc}",
+            file=sys.stderr,
+        )
+        return 2
     payload = run_shard(
         manifest,
         engine=_engine(args),

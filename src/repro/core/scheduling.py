@@ -308,11 +308,9 @@ class ScheduleWarmStart:
     event trace.  :func:`list_schedule_outcome` reports which path
     produced a schedule so callers can gate the next warm start.
 
-    Downstream passes reuse the same change-locality: the bind pass's
+    The bind pass reuses the same change-locality: its
     :class:`~repro.core.binding.ChainCache` invalidates exactly the
-    chains whose ops' ``(start, L_o)`` moved between iterations, and
-    the refine pass's :class:`~repro.core.refinement.BoundPathEngine`
-    repairs ASAP/ALAP values only around changed binding edges -- see
+    chains whose ops' ``(start, L_o)`` moved between iterations -- see
     ``docs/architecture.md`` for the whole reuse table.
     """
 

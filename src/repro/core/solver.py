@@ -23,10 +23,10 @@ touch:
   max-chain kernel is memoised in a :class:`~repro.core.binding.ChainCache`:
   chains whose candidate sets and members' ``(start, L_o)`` values did
   not move since the previous iteration are replayed verbatim.
-* **refine** -- the bound critical path ``Q_b`` is maintained by a
-  :class:`~repro.core.refinement.BoundPathEngine`: ASAP/ALAP longest
-  paths over the augmented DAG are repaired per added/deleted binding
-  edge and per changed bound latency instead of being rebuilt.
+* **refine** -- nothing is reused: the bound critical path ``Q_b`` is
+  one O(V+E) sweep in schedule order
+  (:func:`~repro.core.refinement.bound_critical_path`), the same in
+  both modes.
 
 Setting ``REPRO_SOLVER=scratch`` (or passing ``mode="scratch"``)
 disables every reuse: all pass products are recomputed from scratch
@@ -52,12 +52,7 @@ from typing import Any, Dict, FrozenSet, List, Optional, Set, Tuple
 from ..resources.types import ResourceType
 from .binding import Binding, ChainCache, bindselect
 from .problem import InfeasibleError, Problem
-from .refinement import (
-    BoundPathEngine,
-    RefinementStep,
-    bound_critical_path,
-    refine_once,
-)
+from .refinement import RefinementStep, bound_critical_path, refine_once
 from .scheduling import (
     ScheduleWarmStart,
     critical_path_priorities,
@@ -93,7 +88,7 @@ SOLVER_MODES = ("incremental", "scratch")
 REUSE_CHANNELS: Dict[str, Tuple[str, ...]] = {
     "wcg": ("pending_bound_ops", "pending_refined_ops", "dirty_cover_kinds"),
 }
-REUSE_MEMOS: Tuple[str, ...] = ("chain_cache", "bound_path")
+REUSE_MEMOS: Tuple[str, ...] = ("chain_cache",)
 
 _MODES = ("min-units", "asap", "best")
 _CONSTRAINTS = ("eqn3", "eqn2")
@@ -138,8 +133,9 @@ class DPAllocOptions:
             or ``"name-order"`` (ablation).
         blind_refinement: ablation -- skip the bound-critical-path
             analysis and refine from the whole operation set.
-        max_iterations: optional hard cap on outer-loop iterations
-            (under ``mode="best"`` the cap applies to each sub-mode).
+        max_iterations: optional hard cap (an int >= 1) on outer-loop
+            iterations (under ``mode="best"`` the cap applies to each
+            sub-mode).
         trace: attach the per-iteration :class:`TraceEvent` sequence to
             the returned datapath.
     """
@@ -154,6 +150,17 @@ class DPAllocOptions:
     trace: bool = False
 
     def __post_init__(self) -> None:
+        for flag in ("grow", "shrink", "blind_refinement", "trace"):
+            value = getattr(self, flag)
+            if not isinstance(value, bool):
+                raise ValueError(f"{flag} must be a bool, got {value!r}")
+        cap = self.max_iterations
+        if cap is not None and (
+            isinstance(cap, bool) or not isinstance(cap, int) or cap < 1
+        ):
+            raise ValueError(
+                f"max_iterations must be None or an int >= 1, got {cap!r}"
+            )
         if self.mode not in _MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.constraint not in _CONSTRAINTS:
@@ -200,7 +207,6 @@ class SolverState:
         graph = problem.graph
         self.graph = graph
         self.names: Tuple[str, ...] = graph.names
-        self.edges = graph.edges()
         self.kind_of: Dict[str, str] = {
             op.name: op.resource_kind for op in graph.operations
         }
@@ -257,13 +263,11 @@ class SolverState:
         self.prev_priorities: Dict[str, int] = {}
         self.prev_first_rejects: Dict[str, int] = {}
 
-        # Cross-iteration reuse state of the bind and refine passes
-        # (incremental runs only): memoised Bindselect max chains and
-        # the maintained bound-critical-path engine.
+        # Cross-iteration reuse state of the bind pass (incremental
+        # runs only): memoised Bindselect max chains.
         self.chain_cache: Optional[ChainCache] = (
             ChainCache() if incremental else None
         )
-        self.bound_path: Optional[BoundPathEngine] = None
 
     # ------------------------------------------------------------------
     def record_refinement(self, step: RefinementStep) -> None:
@@ -585,25 +589,23 @@ class RefinePass(Pass):
 
     Mirrors the paper's section 2.4 plus the two documented completions
     (unit duplication when the bound critical path is unrefinable, and
-    a last-resort whole-set refinement).  Incremental: the bound
-    critical path ``Q_b`` comes from the maintained
-    :class:`BoundPathEngine` (exact single-edge/latency updates to the
-    augmented-DAG ASAP/ALAP longest paths) instead of a from-scratch
-    rebuild; the set is provably identical.  Raises ``InfeasibleError``
-    when no move exists or the iteration cap is hit.
+    a last-resort whole-set refinement).  Both modes run the same
+    stateless ``Q_b`` sweep inside :func:`refine_once`, so nothing here
+    is reused across iterations.  Raises ``InfeasibleError`` when no
+    move exists or the iteration cap is hit.
     """
 
     name = "refine"
     reads = frozenset({
-        "area", "binding", "bound_latencies", "bound_path", "bumps",
-        "constraints", "dirty_cover_kinds", "edges", "incremental",
-        "iteration", "iteration_cap", "kind_of", "makespan", "names",
-        "ops_per_kind", "options", "pending_bound_ops",
-        "pending_refined_ops", "problem", "refinements", "schedule",
-        "scheduling_set", "trace", "upper_bounds", "user_kinds", "wcg",
+        "area", "binding", "bound_latencies", "bumps", "constraints",
+        "dirty_cover_kinds", "graph", "iteration", "iteration_cap",
+        "kind_of", "makespan", "ops_per_kind", "options",
+        "pending_bound_ops", "pending_refined_ops", "problem",
+        "refinements", "schedule", "scheduling_set", "trace",
+        "upper_bounds", "user_kinds", "wcg",
     })
     writes = frozenset({
-        "bound_path", "bumps", "dirty_cover_kinds", "pending_bound_ops",
+        "bumps", "dirty_cover_kinds", "pending_bound_ops",
         "pending_refined_ops", "refinements", "trace", "wcg",
     })
 
@@ -618,20 +620,12 @@ class RefinePass(Pass):
             )
 
         assert state.schedule is not None and state.binding is not None
-        q_b = None
-        if state.incremental and not opts.blind_refinement:
-            if state.bound_path is None:
-                state.bound_path = BoundPathEngine(state.names, state.edges)
-            q_b = state.bound_path.critical_ops(
-                state.schedule, state.binding, state.bound_latencies
-            )
         # Preferred move: refine a bound-critical operation (paper §2.4).
         primary_pools = ("any",) if opts.blind_refinement else ("W", "Qb")
         try:
             step = refine_once(
                 state.wcg,
-                state.names,
-                state.edges,
+                state.graph,
                 state.schedule,
                 state.binding,
                 problem.latency_constraint,
@@ -639,7 +633,6 @@ class RefinePass(Pass):
                 selector=opts.selector,
                 bound_latencies=state.bound_latencies,
                 upper_bounds=state.upper_bounds,
-                q_b=q_b,
             )
             state.record_refinement(step)
             return
@@ -669,8 +662,7 @@ class RefinePass(Pass):
         try:
             step = refine_once(
                 state.wcg,
-                state.names,
-                state.edges,
+                state.graph,
                 state.schedule,
                 state.binding,
                 problem.latency_constraint,
@@ -777,8 +769,7 @@ class ReplayRecorder:
                 # the refined op only next iteration), so the finish
                 # times are the ones the ``W`` threshold actually used.
                 q_b = bound_critical_path(
-                    state.names,
-                    state.edges,
+                    state.graph,
                     state.schedule,
                     state.binding,
                     state.bound_latencies,

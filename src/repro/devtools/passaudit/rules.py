@@ -153,7 +153,7 @@ class InvalidationRule(LintRule):
       is flagged at the pass, with the affected downstream readers
       named.
     * ``REUSE_MEMOS = ("chain_cache", ...)`` -- a pass that *reads* a
-      memo structure (``ChainCache``, ``BoundPathEngine``) must also
+      memo structure (the bind pass's ``ChainCache``) must also
       write/refresh it: memos are refreshed by their consumer, never
       trusted stale.
 

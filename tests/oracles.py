@@ -15,14 +15,20 @@ exact equality:
   ``min``, behind Bindselect's Eqn. 4 probe (an AND of the members'
   resource bitsets, then ``BindIndex.cheapest``);
 * :class:`Eqn3TrackerReference` -- ``Fraction`` arithmetic behind the
-  scaled-integer :class:`repro.core.scheduling.Eqn3Tracker`.
+  scaled-integer :class:`repro.core.scheduling.Eqn3Tracker`;
+* :func:`reference_bound_critical_path` -- the augmented DAG built from
+  all-pairs ``S_b`` edges and walked in lexicographic Kahn order, behind
+  the schedule-order sweep of
+  :func:`repro.core.refinement.bound_critical_path`.
 """
 
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
+from repro.core.binding import Binding
 from repro.core.problem import InfeasibleError
 from repro.core.wcg import WordlengthCompatibilityGraph
 from repro.ir.ops import Operation
@@ -245,3 +251,58 @@ class Eqn3TrackerReference:
             (self._peak[s] for s in self._members_by_kind.get(kind, [])),
             Fraction(0),
         )
+
+
+def reference_bound_critical_path(
+    names: Sequence[str],
+    graph_edges: Sequence[Tuple[str, str]],
+    schedule: Mapping[str, int],
+    binding: Binding,
+    bound_latencies: Mapping[str, int],
+) -> Set[str]:
+    """``Q_b`` from the augmented DAG ``P(O, S ∪ S_b)``, built explicitly.
+
+    ``S_b`` holds every ordered pair of one clique with
+    ``start(o1) + l(o1) == start(o2)`` (Eqn. 7).  ASAP and ALAP run in
+    lexicographic Kahn order, which raises on a cycle.
+    """
+    if not names:
+        return set()
+    edges = set(graph_edges)
+    for clique in binding.cliques:
+        for o1 in clique.ops:
+            finish = schedule[o1] + bound_latencies[o1]
+            for o2 in clique.ops:
+                if o1 != o2 and finish == schedule[o2]:
+                    edges.add((o1, o2))
+    preds: Dict[str, Set[str]] = {n: set() for n in names}
+    succs: Dict[str, Set[str]] = {n: set() for n in names}
+    for u, v in edges:
+        succs[u].add(v)
+        preds[v].add(u)
+
+    indegree = {n: len(preds[n]) for n in names}
+    heap = [n for n in indegree if indegree[n] == 0]
+    heapq.heapify(heap)
+    order: List[str] = []
+    while heap:
+        name = heapq.heappop(heap)
+        order.append(name)
+        for s in succs[name]:
+            indegree[s] -= 1
+            if indegree[s] == 0:
+                heapq.heappush(heap, s)
+    if len(order) != len(indegree):
+        raise ValueError("augmented sequencing graph contains a cycle")
+
+    asap: Dict[str, int] = {}
+    for name in order:
+        asap[name] = max(
+            (asap[p] + bound_latencies[p] for p in preds[name]), default=0
+        )
+    deadline = max(asap[n] + bound_latencies[n] for n in names)
+    alap: Dict[str, int] = {}
+    for name in reversed(order):
+        finish = min((alap[s] for s in succs[name]), default=deadline)
+        alap[name] = finish - bound_latencies[name]
+    return {n for n in names if asap[n] == alap[n]}

@@ -244,6 +244,18 @@ class TestBatch:
         ]) == 1
         assert "infeasible" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("content", [None, "{}"])
+    def test_from_shard_unloadable_file_is_a_usage_error(
+        self, content, tmp_path, capsys
+    ):
+        path = tmp_path / "shard.json"
+        if content is not None:
+            path.write_text(content)
+        assert main(["batch", "--from-shard", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"batch --from-shard: cannot load '{path}': ")
+        assert "Traceback" not in err
+
     def test_process_executor_matches_pool_output(self, tmp_path, capsys):
         argv = ["batch", "fir", "--methods", "dpalloc,uniform",
                 "--relax", "0.5"]

@@ -49,6 +49,38 @@ class TestDocsTree:
         readme = (REPO / "README.md").read_text()
         assert [name for name in names if name not in readme] == []
 
+    def test_ci_tests_job_installs_every_test_import(self):
+        """Tier-1 collects in CI: its pip line names each third-party import.
+
+        Distribution and module names coincide for every dependency the
+        tests use, so the pip words are compared with module names.
+        """
+        import ast
+        import re
+
+        workflow = (REPO / ".github" / "workflows" / "ci.yml").read_text()
+        job = re.search(r"^  tests:\n(.*?)(?=^  \S|\Z)", workflow, re.M | re.S)
+        assert job is not None
+        installed = {
+            word
+            for line in re.findall(r"pip install (?!--upgrade)(.+)", job.group(1))
+            for word in line.split()
+        }
+        imported = set()
+        for path in (REPO / "tests").rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    imported.update(a.name.split(".")[0] for a in node.names)
+                elif isinstance(node, ast.ImportFrom) and not node.level:
+                    imported.add((node.module or "").split(".")[0])
+        local = {
+            name for name in imported
+            if (REPO / name).exists() or (REPO / "src" / name).exists()
+            or (REPO / "tools" / f"{name}.py").exists()
+        }
+        third_party = imported - set(sys.stdlib_module_names) - local
+        assert sorted(third_party - installed) == []
+
 
 class TestCheckerMechanics:
     def test_extracts_language_and_flags(self, tmp_path):

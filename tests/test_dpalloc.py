@@ -3,12 +3,15 @@
 import pytest
 
 from repro import (
+    AllocationRequest,
     DPAllocOptions,
+    Engine,
     InfeasibleError,
     Problem,
     allocate,
     validate_datapath,
 )
+from repro.experiments import build_case
 from repro.gen.workloads import fir_filter, motivational_example
 from tests.conftest import make_problem
 
@@ -191,6 +194,24 @@ class TestOptions:
     def test_invalid_selector_rejected_at_construction(self):
         with pytest.raises(ValueError, match="selector"):
             DPAllocOptions(selector="random")
+
+    @pytest.mark.parametrize("options", [
+        {"grow": "false"},
+        {"shrink": 0},
+        {"blind_refinement": None},
+        {"trace": "yes"},
+        {"max_iterations": -1},
+        {"max_iterations": 0},
+        {"max_iterations": 2.5},
+        {"max_iterations": True},
+    ])
+    def test_ill_typed_flag_or_cap_is_an_uncached_error(self, options, tmp_path):
+        engine = Engine(cache_dir=tmp_path)
+        result = engine.run(AllocationRequest(
+            build_case(24, 0, 0.0).problem, "dpalloc", options=options
+        ))
+        assert result.error.startswith("error: ValueError: "), result.error
+        assert engine.cache_stats()["entries"] == 0
 
 
 class TestBestModeIterationCap:

@@ -11,17 +11,16 @@
   of a warm ``lambda + 1`` deadline edit, whose envelope must also be
   canonical-byte identical to a cold solve of the edited problem.
 * **Reuse counts** (incremental mode only) -- each cross-iteration
-  reuse mechanism fires: the bound-path engine does one full pass and
-  then repairs, the chain cache hits, and the schedule pass resumes a
-  non-empty warm prefix.  Bounds, not exact counts, so the greedy may
-  evaluate fewer chains without breaking them.
+  reuse mechanism fires: the chain cache hits, and the schedule pass
+  resumes a non-empty warm prefix.  Bounds, not exact counts, so the
+  greedy may evaluate fewer chains without breaking them.
 * **Hashing bounds** -- ``ResourceType.__hash__`` calls per solve loop.
   ``H`` lives in id bitsets, so Bindselect hashes no ``ResourceType``
   in either mode, and each incremental loop stays at or below its
   measured count.
-* **Oracle agreement** -- ``max_chain``, the bitset ``H`` and the
-  Bindselect cover probe against the reference formulations in
-  ``tests/oracles.py``.
+* **Oracle agreement** -- ``max_chain``, the bitset ``H``, the
+  Bindselect cover probe and the ``Q_b`` sweep against the reference
+  formulations in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -34,12 +33,14 @@ from dataclasses import dataclass
 
 import pytest
 
-from repro.core import scheduling, solver
-from repro.core.binding import BindIndex, max_chain
+from repro.core import refinement, scheduling, solver
+from repro.core.binding import BindIndex, Binding, BoundClique, max_chain
 from repro.core.delta import DeadlineEdit
 from repro.core.solution import Datapath
 from repro.core.solver import (
+    SOLVER_MODES,
     DPAllocOptions,
+    ReplayRecorder,
     SolverState,
     resolve_solver_mode,
     solve_loop,
@@ -48,10 +49,12 @@ from repro.core.wcg import WordlengthCompatibilityGraph
 from repro.engine import AllocationRequest, DeltaRequest, Engine, execute_request
 from repro.experiments import build_case
 from repro.io.json_io import datapath_to_dict
+from repro.ir.seqgraph import SequencingGraph
 from repro.resources.types import ResourceType
 from tests.oracles import (
     ReferenceH,
     cheapest_covering_resource,
+    reference_bound_critical_path,
     reference_max_chain,
 )
 
@@ -187,12 +190,6 @@ def test_bindselect_hashes_no_resource_type_in_the_other_mode():
 
 @incremental_only
 class TestReuseCounts:
-    def test_bound_path_engine_repairs_instead_of_rebuilding(self, solved):
-        engine = solved.state.bound_path
-        assert engine is not None
-        assert engine.full_passes == 1
-        assert engine.incremental_updates > 0
-
     def test_chain_cache_hits(self, solved):
         cache = solved.state.chain_cache
         assert cache is not None
@@ -299,3 +296,120 @@ class TestOracleAgreement:
             refined += 1
         assert refined >= 5
         assert probes[True] and probes[False]  # covered and uncoverable
+
+    @pytest.mark.parametrize("mode", SOLVER_MODES)
+    def test_bound_critical_path_matches_reference_on_recorded_solves(
+        self, mode, monkeypatch
+    ):
+        """Every ``Q_b`` of a recorded tgff-64-0 solve, at both call sites."""
+        agreed: Counter = Counter()
+
+        def checked(site, sweep):
+            def wrapper(graph, schedule, binding, bound_latencies):
+                q_b = sweep(graph, schedule, binding, bound_latencies)
+                assert q_b == reference_bound_critical_path(
+                    graph.names, graph.edges(), schedule, binding,
+                    bound_latencies,
+                )
+                agreed[site] += 1
+                return q_b
+            return wrapper
+
+        monkeypatch.setattr(refinement, "bound_critical_path", checked(
+            "refine_once", refinement.bound_critical_path
+        ))
+        monkeypatch.setattr(solver, "bound_critical_path", checked(
+            "recorder", solver.bound_critical_path
+        ))
+        problem = build_case(64, 0, 0.0).problem
+        state = SolverState(
+            problem, DPAllocOptions(), incremental=mode == "incremental"
+        )
+        recorder = ReplayRecorder()
+        datapath = solve_loop(state, recorder)
+        assert canonical_digest(datapath) == SOLVER_CASES["tgff-64-0"][4]
+        assert agreed["refine_once"] >= datapath.iterations - 1
+        assert agreed["recorder"] == datapath.iterations - 1
+
+    def test_bound_critical_path_matches_reference_on_random_dags(self):
+        """Random DAGs, valid schedules and chain bindings; broken ones raise."""
+        unit = ResourceType("mul", (8, 8))
+
+        def bind(chains):
+            return Binding(tuple(BoundClique(unit, tuple(c)) for c in chains))
+
+        rng = random.Random(2001)
+        back_to_back = tied = raised = 0
+        for _trial in range(300):
+            names = [f"o{i:02d}" for i in range(rng.randint(1, 14))]
+            rng.shuffle(names)  # topological order != name order
+            graph = SequencingGraph()
+            for name in names:
+                graph.add(name, "mul", (8, 8))
+            for j, v in enumerate(names):
+                for u in names[:j]:
+                    if rng.random() < 0.2:
+                        graph.add_dependency(u, v)
+            lat = {n: rng.randint(1, 3) for n in names}
+            schedule: dict = {}
+            for v in names:
+                release = max(
+                    (schedule[p] + lat[p] for p in graph.predecessors(v)),
+                    default=0,
+                )
+                schedule[v] = release + rng.choice((0, 0, 1, 2))
+            tied += len(set(schedule.values())) < len(names)
+
+            # Greedy chain cover in start order; prefer back-to-back units.
+            chains: list = []
+            for v in sorted(names, key=lambda n: (schedule[n], n)):
+                free = [
+                    c for c in chains
+                    if schedule[c[-1]] + lat[c[-1]] <= schedule[v]
+                ]
+                tight = [
+                    c for c in free
+                    if schedule[c[-1]] + lat[c[-1]] == schedule[v]
+                ]
+                if tight and rng.random() < 0.7:
+                    rng.choice(tight).append(v)
+                    back_to_back += 1
+                elif free and rng.random() < 0.5:
+                    rng.choice(free).append(v)
+                else:
+                    chains.append([v])
+            for chain in chains:
+                if rng.random() < 0.3:
+                    rng.shuffle(chain)  # clique order is not start order
+            args = (schedule, bind(chains), lat)
+            assert refinement.bound_critical_path(graph, *args) == (
+                reference_bound_critical_path(graph.names, graph.edges(), *args)
+            ), args
+
+            # Bind an op onto a unit that is still busy when it starts.
+            clashes = [
+                (u, v) for u in names for v in names
+                if u != v and schedule[u] <= schedule[v] < schedule[u] + lat[u]
+            ]
+            if clashes:
+                u, v = rng.choice(clashes)
+                moved = [[n for n in c if n != v] for c in chains]
+                next(c for c in moved if u in c).append(v)
+                with pytest.raises(ValueError, match="overlap"):
+                    refinement.bound_critical_path(
+                        graph, schedule, bind(c for c in moved if c), lat
+                    )
+                raised += 1
+
+            # Start a consumer before its producer finishes.
+            edges = graph.edges()
+            if edges:
+                u, v = rng.choice(edges)
+                broken = dict(
+                    schedule, **{v: schedule[u] + lat[u] - rng.randint(1, 3)}
+                )
+                solo = bind([n] for n in names)
+                with pytest.raises(ValueError, match="dependency"):
+                    refinement.bound_critical_path(graph, broken, solo, lat)
+                raised += 1
+        assert back_to_back > 300 and tied > 100 and raised > 400

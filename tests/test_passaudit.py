@@ -398,7 +398,7 @@ class TestEffectMap:
         assert payload["protocol"]["channels"]["wcg"] == [
             "dirty_cover_kinds", "pending_bound_ops", "pending_refined_ops",
         ]
-        assert payload["protocol"]["memos"] == ["bound_path", "chain_cache"]
+        assert payload["protocol"]["memos"] == ["chain_cache"]
 
 
 class TestEffectsCli:

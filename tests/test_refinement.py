@@ -6,7 +6,6 @@ from repro.core.binding import Binding, BoundClique
 from repro.core.problem import InfeasibleError
 from repro.core.refinement import (
     RefinementStep,
-    augmented_edges,
     bound_critical_path,
     candidate_set,
     choose_refinement_op,
@@ -14,8 +13,10 @@ from repro.core.refinement import (
 )
 from repro.core.wcg import WordlengthCompatibilityGraph
 from repro.ir.ops import Operation
+from repro.ir.seqgraph import SequencingGraph
 from repro.resources.latency import SonicLatencyModel
 from repro.resources.types import ResourceType
+from tests.oracles import reference_bound_critical_path
 
 LAT = SonicLatencyModel()
 SMALL = ResourceType("mul", (8, 8))    # 2 cycles
@@ -24,36 +25,50 @@ BIG = ResourceType("mul", (16, 16))    # 4 cycles
 ADD = ResourceType("add", (16,))       # 2 cycles
 
 
+def seq_graph(names, edges=()):
+    graph = SequencingGraph()
+    for name in names:
+        graph.add(name, "mul", (8, 8))
+    for u, v in edges:
+        graph.add_dependency(u, v)
+    return graph
+
+
 class TestAugmentedEdges:
-    def test_sequencing_edges_kept(self):
-        binding = Binding((BoundClique(SMALL, ("a", "b")),))
-        edges = augmented_edges(
-            (("a", "b"),), {"a": 0, "b": 5}, binding, {"a": 2, "b": 2}
+    """``S_b`` (Eqn. 7) seen through ``Q_b``.
+
+    A slow independent op ``c`` fixes the deadline at 4, so ``a`` and
+    ``b`` are critical exactly when an augmented edge chains them.
+    """
+
+    def q_b(self, edges, schedule, cliques):
+        binding = Binding(tuple(cliques) + (BoundClique(BIG, ("c",)),))
+        graph = seq_graph(("a", "b", "c"), edges)
+        schedule = dict(schedule, c=0)
+        latencies = {"a": 2, "b": 2, "c": 4}
+        q_b = bound_critical_path(graph, schedule, binding, latencies)
+        assert q_b == reference_bound_critical_path(
+            graph.names, graph.edges(), schedule, binding, latencies
         )
-        assert ("a", "b") in edges
+        return q_b
+
+    def test_sequencing_edges_kept(self):
+        clique = BoundClique(SMALL, ("a", "b"))
+        assert self.q_b((("a", "b"),), {"a": 0, "b": 5}, [clique]) == {
+            "a", "b", "c",
+        }
 
     def test_back_to_back_same_unit_adds_edge(self):
-        binding = Binding((BoundClique(SMALL, ("a", "b")),))
-        edges = augmented_edges(
-            (), {"a": 0, "b": 2}, binding, {"a": 2, "b": 2}
-        )
-        assert ("a", "b") in edges
+        clique = BoundClique(SMALL, ("a", "b"))
+        assert self.q_b((), {"a": 0, "b": 2}, [clique]) == {"a", "b", "c"}
 
     def test_gap_on_same_unit_adds_no_edge(self):
-        binding = Binding((BoundClique(SMALL, ("a", "b")),))
-        edges = augmented_edges(
-            (), {"a": 0, "b": 3}, binding, {"a": 2, "b": 2}
-        )
-        assert edges == set()
+        clique = BoundClique(SMALL, ("a", "b"))
+        assert self.q_b((), {"a": 0, "b": 3}, [clique]) == {"c"}
 
     def test_different_units_add_no_edge(self):
-        binding = Binding(
-            (BoundClique(SMALL, ("a",)), BoundClique(SMALL, ("b",)))
-        )
-        edges = augmented_edges(
-            (), {"a": 0, "b": 2}, binding, {"a": 2, "b": 2}
-        )
-        assert edges == set()
+        cliques = [BoundClique(SMALL, ("a",)), BoundClique(SMALL, ("b",))]
+        assert self.q_b((), {"a": 0, "b": 2}, cliques) == {"c"}
 
 
 class TestBoundCriticalPath:
@@ -62,7 +77,7 @@ class TestBoundCriticalPath:
             (BoundClique(SMALL, ("a",)), BoundClique(SMALL, ("b",)))
         )
         q_b = bound_critical_path(
-            ("a", "b"), (("a", "b"),), {"a": 0, "b": 2}, binding,
+            seq_graph(("a", "b"), (("a", "b"),)), {"a": 0, "b": 2}, binding,
             {"a": 2, "b": 2},
         )
         assert q_b == {"a", "b"}
@@ -77,8 +92,7 @@ class TestBoundCriticalPath:
             )
         )
         q_b = bound_critical_path(
-            ("a", "b", "c"),
-            (("a", "c"), ("b", "c")),
+            seq_graph(("a", "b", "c"), (("a", "c"), ("b", "c"))),
             {"a": 0, "b": 0, "c": 4},
             binding,
             {"a": 4, "b": 2, "c": 2},
@@ -90,7 +104,7 @@ class TestBoundCriticalPath:
         # critical path even without data dependencies.
         binding = Binding((BoundClique(SMALL, ("a", "b")),))
         q_b = bound_critical_path(
-            ("a", "b"), (), {"a": 0, "b": 2}, binding, {"a": 2, "b": 2}
+            seq_graph(("a", "b")), {"a": 0, "b": 2}, binding, {"a": 2, "b": 2}
         )
         assert q_b == {"a", "b"}
 
@@ -152,8 +166,7 @@ class TestRefineOnce:
         binding = Binding((BoundClique(BIG, ("a", "b")),))
         step = refine_once(
             wcg,
-            ("a", "b"),
-            (("a", "b"),),
+            seq_graph(("a", "b"), (("a", "b"),)),
             {"a": 0, "b": 4},
             binding,
             latency_constraint=6,
@@ -167,7 +180,7 @@ class TestRefineOnce:
         wcg = WordlengthCompatibilityGraph(ops, [ADD], LAT)
         binding = Binding((BoundClique(ADD, ("a",)),))
         with pytest.raises(InfeasibleError):
-            refine_once(wcg, ("a",), (), {"a": 0}, binding, 1)
+            refine_once(wcg, seq_graph(("a",)), {"a": 0}, binding, 1)
 
     def test_pool_restriction(self):
         # 'a' is bound-critical; 'b' is not (has slack).  Restricting the
@@ -186,29 +199,13 @@ class TestRefineOnce:
         )
         schedule = {"a": 0, "c": 4, "b": 0}
         step = refine_once(
-            wcg, ("a", "b", "c"), (("a", "c"),), schedule, binding,
+            wcg, seq_graph(("a", "b", "c"), (("a", "c"),)), schedule, binding,
             latency_constraint=20, pools=("W", "Qb"),
         )
         assert step.operation in {"a", "c"}
 
 
 class TestTopologicalOrder:
-    def test_deterministic_lexicographic(self):
-        from repro.core.refinement import _topological_order
-
-        names = ("c", "a", "b")
-        preds = {"a": set(), "b": set(), "c": {"a", "b"}}
-        succs = {"a": {"c"}, "b": {"c"}, "c": set()}
-        assert _topological_order(names, preds, succs) == ["a", "b", "c"]
-
-    def test_cycle_detected(self):
-        from repro.core.refinement import _topological_order
-
-        preds = {"a": {"b"}, "b": {"a"}}
-        succs = {"a": {"b"}, "b": {"a"}}
-        with pytest.raises(ValueError, match="cycle"):
-            _topological_order(("a", "b"), preds, succs)
-
     def test_networkx_not_imported_by_refinement(self):
         """The per-iteration hot path must not require networkx."""
         import repro.core.refinement as refinement
@@ -220,6 +217,8 @@ class TestTopologicalOrder:
 
 
 class TestBoundPathEngine:
+    """The ``Q_b`` sweep against the Kahn reference on solver-like inputs."""
+
     def _solver_loop_states(self, num_ops=16, sample=0, relaxation=0.0):
         """Replicate the DPAlloc loop, yielding per-iteration inputs."""
         from repro.core.binding import bindselect
@@ -245,39 +244,24 @@ class TestBoundPathEngine:
             wcg.refine(refinable[0])
 
     def test_matches_scratch_across_solver_iterations(self):
-        from repro.core.refinement import BoundPathEngine
-
-        engine = None
-        iterations = 0
-        for graph, wcg, schedule, binding, lat in self._solver_loop_states():
-            if engine is None:
-                engine = BoundPathEngine(graph.names, graph.edges())
-            maintained = engine.critical_ops(schedule, binding, lat)
-            scratch = bound_critical_path(
-                graph.names, graph.edges(), schedule, binding, lat
-            )
-            assert maintained == scratch
-            iterations += 1
-        assert iterations > 3
-        assert engine.full_passes == 1
-        assert engine.incremental_updates == iterations - 1
-
-    def test_repeated_identical_iteration_is_stable(self):
-        from repro.core.refinement import BoundPathEngine
-
-        states = list(self._solver_loop_states(num_ops=10))
-        graph, wcg, schedule, binding, lat = states[0]
-        engine = BoundPathEngine(graph.names, graph.edges())
-        first = engine.critical_ops(schedule, binding, lat)
-        again = engine.critical_ops(schedule, binding, lat)
-        assert first == again
+        for num_ops in (16, 24, 32):
+            iterations = 0
+            for graph, _, schedule, binding, lat in self._solver_loop_states(
+                num_ops
+            ):
+                swept = bound_critical_path(graph, schedule, binding, lat)
+                reference = reference_bound_critical_path(
+                    graph.names, graph.edges(), schedule, binding, lat
+                )
+                assert swept == reference, (num_ops, iterations)
+                iterations += 1
+            assert iterations > 3
 
     def test_single_op_graph(self):
-        from repro.core.refinement import BoundPathEngine
-
         binding = Binding((BoundClique(SMALL, ("a",)),))
-        engine = BoundPathEngine(("a",), ())
-        assert engine.critical_ops({"a": 0}, binding, {"a": 2}) == {"a"}
+        assert bound_critical_path(
+            seq_graph(("a",)), {"a": 0}, binding, {"a": 2}
+        ) == {"a"}
 
 
 class TestRefineOncePrecomputedQb:
@@ -294,27 +278,10 @@ class TestRefineOncePrecomputedQb:
         schedule = {"a": 0, "c": 4, "b": 0}
         return wcg, binding, schedule
 
-    def test_precomputed_qb_matches_internal(self):
-        wcg1, binding, schedule = self._fixture()
-        step_internal = refine_once(
-            wcg1, ("a", "b", "c"), (("a", "c"),), schedule, binding,
-            latency_constraint=20,
-        )
-        wcg2, binding, schedule = self._fixture()
-        q_b = bound_critical_path(
-            ("a", "b", "c"), (("a", "c"),), schedule, binding,
-            binding.bound_latencies(wcg2),
-        )
-        step_precomputed = refine_once(
-            wcg2, ("a", "b", "c"), (("a", "c"),), schedule, binding,
-            latency_constraint=20, q_b=q_b,
-        )
-        assert step_internal == step_precomputed
-
     def test_unknown_pool_rejected(self):
         wcg, binding, schedule = self._fixture()
         with pytest.raises(ValueError, match="unknown candidate pool"):
             refine_once(
-                wcg, ("a", "b", "c"), (("a", "c"),), schedule, binding,
-                latency_constraint=20, pools=("mystery",),
+                wcg, seq_graph(("a", "b", "c"), (("a", "c"),)), schedule,
+                binding, latency_constraint=20, pools=("mystery",),
             )

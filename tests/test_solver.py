@@ -312,7 +312,7 @@ class TestSolverValidity:
 
 
 class TestIncrementalReuseState:
-    """The bind/refine reuse machinery actually engages on real solves."""
+    """The bind pass's reuse machinery actually engages on real solves."""
 
     def _drive(self, incremental: bool):
         from repro.core.solver import PIPELINE, _REFINE, SolverState
@@ -336,21 +336,22 @@ class TestIncrementalReuseState:
         # Refinements move only a cone of the schedule; most chains survive.
         assert state.chain_cache.hits > state.chain_cache.evicted
 
-    def test_bound_path_engine_updates_incrementally(self):
-        state = self._drive(incremental=True)
-        engine = state.bound_path
-        assert engine is not None
-        assert engine.full_passes == 1
-        assert engine.incremental_updates >= state.iteration - 2
-
     def test_scratch_state_owns_no_reuse_state(self):
         state = self._drive(incremental=False)
         assert state.chain_cache is None
-        assert state.bound_path is None
 
-    def test_blind_refinement_skips_bound_path(self):
+    def test_blind_refinement_skips_bound_path(self, monkeypatch):
+        from repro.core import refinement, solver
         from repro.core.solver import PIPELINE, _REFINE, SolverState
 
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return set()
+
+        monkeypatch.setattr(refinement, "bound_critical_path", counting)
+        monkeypatch.setattr(solver, "bound_critical_path", counting)
         problem = build_case(12, 0, 0.0).problem
         options = DPAllocOptions(blind_refinement=True)
         state = SolverState(problem, options, incremental=True)
@@ -361,7 +362,8 @@ class TestIncrementalReuseState:
             if state.feasible:
                 break
             _REFINE.run(state)
-        assert state.bound_path is None
+        assert state.iteration > 1
+        assert calls == []
 
 
 class TestTraceTelemetry:
