@@ -96,8 +96,11 @@ Static analysis (part of the pre-PR checklist)::
 from __future__ import annotations
 
 import argparse
+import contextlib
+import math
+import signal
 import sys
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Iterator, Optional, Tuple
 
 from . import Problem
 from .analysis.reporting import format_table, format_trace
@@ -209,6 +212,15 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value) or value <= 0:
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number > 0, got {text}"
+        )
     return value
 
 
@@ -648,9 +660,34 @@ def _cmd_trace(args) -> int:
     return 0
 
 
+@contextlib.contextmanager
+def _until_stopped(stopped: str) -> Iterator[None]:
+    """Run a server until Ctrl-C or SIGTERM, then let its cleanup run.
+
+    Supervisors (systemd, k8s, a fleet's ``WorkerPool``) stop servers
+    with SIGTERM, whose default action ends the process before any
+    ``finally`` runs: spawned workers and in-flight solve processes
+    would keep running, reparented to init (the OS does not kill
+    orphans).  Inside this block SIGTERM raises ``KeyboardInterrupt``
+    like Ctrl-C, the block unwinds, and ``stopped`` goes to stderr.
+    """
+
+    def _interrupt(signum: int, frame: object) -> None:
+        raise KeyboardInterrupt
+
+    previous = signal.signal(signal.SIGTERM, _interrupt)
+    try:
+        yield
+    except KeyboardInterrupt:
+        print(stopped, file=sys.stderr)
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+
+
 def _cmd_serve(args) -> int:
-    """Run the asyncio HTTP/JSON allocation service until interrupted."""
+    """Run the asyncio HTTP/JSON allocation service until stopped."""
     import asyncio
+    import multiprocessing
 
     from .service import AllocationServer
 
@@ -678,28 +715,25 @@ def _cmd_serve(args) -> int:
         finally:
             await server.stop()
 
-    try:
-        asyncio.run(_serve())
-    except KeyboardInterrupt:
-        print("repro service stopped", file=sys.stderr)
+    with _until_stopped("repro service stopped"):
+        try:
+            asyncio.run(_serve())
+        finally:
+            # A solve still in flight runs in its own process, and the
+            # thread waiting on it would hold the interpreter open.
+            for child in multiprocessing.active_children():
+                child.kill()
     return 0
 
 
 def _cmd_fleet(args) -> int:
     """Run the fleet coordinator (spawning workers unless given URLs)."""
     import asyncio
-    import contextlib
-    import signal
 
     from .service import FleetCoordinator
     from .service.fleet import WorkerPool
 
     queue_limits = dict(args.queue_limit or [])
-
-    def _sigterm(signum: int, frame: object) -> None:
-        # Supervisors (systemd/k8s) send SIGTERM; without this the
-        # process dies before the ExitStack reaps spawned workers.
-        raise KeyboardInterrupt
 
     async def _run(urls) -> None:
         coordinator = FleetCoordinator(
@@ -723,26 +757,20 @@ def _cmd_fleet(args) -> int:
         finally:
             await coordinator.stop()
 
-    previous = signal.signal(signal.SIGTERM, _sigterm)
-    try:
-        with contextlib.ExitStack() as stack:
-            if args.worker_url:
-                urls = list(args.worker_url)
-            else:
-                pool = stack.enter_context(WorkerPool(
-                    args.workers,
-                    shared_dir=args.shared_cache_dir,
-                    executor=args.executor,
-                    max_concurrency=args.worker_concurrency,
-                    default_timeout=args.default_timeout,
-                ))
-                urls = pool.urls
-            try:
-                asyncio.run(_run(urls))
-            except KeyboardInterrupt:
-                print("repro fleet stopped", file=sys.stderr)
-    finally:
-        signal.signal(signal.SIGTERM, previous)
+    with _until_stopped("repro fleet stopped"), \
+            contextlib.ExitStack() as stack:
+        if args.worker_url:
+            urls = list(args.worker_url)
+        else:
+            pool = stack.enter_context(WorkerPool(
+                args.workers,
+                shared_dir=args.shared_cache_dir,
+                executor=args.executor,
+                max_concurrency=args.worker_concurrency,
+                default_timeout=args.default_timeout,
+            ))
+            urls = pool.urls
+        asyncio.run(_run(urls))
     return 0
 
 
@@ -816,7 +844,7 @@ def main(argv=None) -> int:
              "worker ('serve') or a fleet coordinator ('fleet') -- "
              "instead of solving locally",
     )
-    group.add_argument("--http-timeout", type=float, default=600.0,
+    group.add_argument("--http-timeout", type=_positive_float, default=600.0,
                        help="HTTP socket timeout in seconds (default 600)")
     group.add_argument(
         "--priority", choices=PRIORITY_CLASSES, default=None,
@@ -842,7 +870,7 @@ def main(argv=None) -> int:
     group = engine_parent.add_argument_group("engine")
     group.add_argument("--workers", type=_positive_int, default=None,
                        help="parallel width (default: serial)")
-    group.add_argument("--timeout", type=float, default=None,
+    group.add_argument("--timeout", type=_positive_float, default=None,
                        help="per-run wall-clock budget in seconds")
     group.add_argument(
         "--executor", choices=EXECUTORS, default="pool",
@@ -936,7 +964,7 @@ def main(argv=None) -> int:
     add_problem_args(cmd, workload_nargs="+")
     cmd.add_argument("--methods", default=None,
                      help=f"comma-separated subset of: {', '.join(methods)}")
-    cmd.add_argument("--timeout", type=float, default=None,
+    cmd.add_argument("--timeout", type=_positive_float, default=None,
                      help="per-run wall-clock budget baked into the manifests")
     cmd.add_argument("--shards", type=_positive_int, required=True,
                      help="number of shard manifests to write")
@@ -983,7 +1011,7 @@ def main(argv=None) -> int:
         help="fresh-run execution mode (default 'process': one killable "
              "worker process per solve, so hung solves cannot pile up)",
     )
-    cmd.add_argument("--timeout", dest="default_timeout", type=float,
+    cmd.add_argument("--timeout", dest="default_timeout", type=_positive_float,
                      default=None,
                      help="per-solve budget for requests without their own")
 
@@ -1014,7 +1042,7 @@ def main(argv=None) -> int:
     cmd.add_argument("--max-attempts", type=_positive_int, default=3,
                      help="forward attempts per request before a typed "
                           "503 (default 3)")
-    cmd.add_argument("--worker-timeout", type=float, default=600.0,
+    cmd.add_argument("--worker-timeout", type=_positive_float, default=600.0,
                      help="per-forward socket budget in seconds "
                           "(default 600); a hung worker is cut off "
                           "here and the request requeued")
@@ -1025,7 +1053,7 @@ def main(argv=None) -> int:
         "--executor", choices=EXECUTORS, default="process",
         help="execution mode for spawned workers (default 'process')",
     )
-    cmd.add_argument("--timeout", dest="default_timeout", type=float,
+    cmd.add_argument("--timeout", dest="default_timeout", type=_positive_float,
                      default=None,
                      help="per-solve budget for spawned workers' "
                           "requests without their own")

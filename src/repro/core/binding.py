@@ -234,15 +234,16 @@ class ChainCache:
     guarantee extends to incremental Bindselect unchanged.
     """
 
-    def __init__(self, max_entries_per_resource: int = 64) -> None:
+    def __init__(self) -> None:
         # Per resource id: uncovered-candidate op-id bitset -> chain.
+        # Unbounded: refresh() evicts every entry a schedule/bounds
+        # change touches, which keeps each resource's map small.
         self._chains: Dict[int, Dict[int, Tuple[str, ...]]] = {}
         self._index: Optional[BindIndex] = None
         self._op_names: Tuple[str, ...] = ()
         self._op_id: Mapping[str, int] = {}
         self._starts: Dict[str, int] = {}
         self._latencies: Dict[str, int] = {}
-        self._max_entries = max_entries_per_resource
         self.hits = 0
         self.misses = 0
         self.evicted = 0
@@ -312,18 +313,12 @@ class ChainCache:
         cached = chains.get(cand_mask)
         if cached is not None:
             self.hits += 1
-            # LRU: re-append so capacity eviction drops cold keys, not
-            # the hot full-candidate-set chains that recur every round.
-            chains[cand_mask] = chains.pop(cand_mask)
             return list(cached)
         self.misses += 1
         names = self._op_names
         result = max_chain(
             [names[i] for i in bit_ids(cand_mask)], schedule, latencies
         )
-        while len(chains) >= self._max_entries:
-            del chains[next(iter(chains))]  # least recently used
-            self.evicted += 1
         chains[cand_mask] = tuple(result)
         return result
 

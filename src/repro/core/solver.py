@@ -77,8 +77,8 @@ __all__ = [
 SOLVER_ENV = "REPRO_SOLVER"
 SOLVER_MODES = ("incremental", "scratch")
 
-# The incremental-reuse protocol, declared as literals so reprolint's
-# RL007 can check it statically (see docs/static-analysis.md):
+# The incremental-reuse protocol, checked against what the passes do
+# at run time by tests/test_pass_contracts.py:
 #
 # * ``REUSE_CHANNELS``: a pass whose effects write the key field must
 #   also write every listed dirtiness channel -- downstream passes
@@ -337,10 +337,11 @@ class Pass:
 
     Every concrete pass declares its effect contract: ``reads`` and
     ``writes`` are literal frozensets of the ``SolverState`` field
-    names ``run`` may touch (directly or through helpers).  The
-    contracts are machine-checked against the inferred effects by
-    reprolint rule RL006, so a pass growing a new dependency without
-    updating its declaration fails CI.
+    names ``run`` may touch (directly or through helpers).
+    ``tests/test_pass_contracts.py`` records what every pass reads and
+    writes over a seeded corpus and fails on any difference, so a pass
+    growing a new dependency without updating its declaration fails
+    tier-1.
     """
 
     name = "pass"
@@ -702,7 +703,7 @@ def _attach_perf(
     """Fold the iteration's perf telemetry into its trace event.
 
     ``run_pipeline`` is not a :class:`Pass`, so decorating the event it
-    just appended keeps the RL006 pass effect contracts unchanged.
+    just appended keeps the pass effect contracts unchanged.
     """
     if not state.trace:
         return
@@ -726,7 +727,7 @@ class ReplayRecorder:
 
     Lives outside the :class:`Pass` effect contracts: ``solve_loop``
     feeds it after each iteration, exactly like :func:`_attach_perf`
-    decorates the trace, so the RL006 pass maps stay unchanged and
+    decorates the trace, so the pass contracts stay unchanged and
     un-recorded solves (the default, including every benchmark) pay
     nothing.
 

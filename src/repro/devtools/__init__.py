@@ -7,11 +7,10 @@ results and thread/async safety of the service tier -- as static rules
 (RL001..RL005) so that the *class* of bug is caught at diff time, not
 only when a workload happens to trip the dynamic parity sweep.
 
-:mod:`repro.devtools.passaudit` builds an intraproject call graph and
-effect inference on top of that framework and contributes the solver
-contract rules (RL006 pass effect contracts, RL007 incremental-reuse
-invalidation) plus the interprocedural order-taint backing RL001 and
-the committed ``tools/pass-effects.json`` effect map.
+:mod:`repro.devtools.passaudit` builds an intraproject call graph on
+top of that framework and the interprocedural order taint behind
+RL001.  The solver passes' ``reads``/``writes`` contracts are checked
+dynamically, by ``tests/test_pass_contracts.py``.
 
 See ``docs/static-analysis.md`` for the rule catalogue and the
 suppression / baseline workflow.

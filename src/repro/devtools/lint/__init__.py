@@ -26,8 +26,6 @@ from .framework import (
     save_baseline,
 )
 from . import rules  # noqa: F401  (registers RL001..RL005 on import)
-# RL006/RL007 live in repro.devtools.passaudit.rules and are pulled in
-# lazily by the framework's rule loader, keeping this import light.
 
 __all__ = [
     "Finding",

@@ -16,13 +16,10 @@ import sys
 from pathlib import Path
 from typing import List, Optional, Sequence
 
-from ..passaudit.effects import analyze_project, effect_map
-from ..passaudit.rules import EFFECT_SCOPE
 from .framework import (
     BASELINE_KIND,
     LintReport,
     all_rules,
-    collect_modules,
     format_text,
     get_rule,
     load_baseline,
@@ -33,7 +30,6 @@ from .framework import (
 __all__ = ["add_lint_arguments", "main", "run_from_args"]
 
 DEFAULT_BASELINE = Path("tools") / "reprolint-baseline.json"
-DEFAULT_EFFECTS = Path("tools") / "pass-effects.json"
 DEFAULT_PATHS = [Path("src") / "repro"]
 
 
@@ -123,21 +119,6 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         help="rewrite the baseline file without its stale entries and "
              "exit 0",
     )
-    parser.add_argument(
-        "--write-effects", action="store_true",
-        help="regenerate the committed pass-effect map from the current "
-             "sources and exit 0",
-    )
-    parser.add_argument(
-        "--check-effects", action="store_true",
-        help="exit 1 when the committed pass-effect map no longer "
-             "matches what the analysis infers from the sources",
-    )
-    parser.add_argument(
-        "--effects-file", default=None, metavar="FILE",
-        help=f"pass-effect map location (default {DEFAULT_EFFECTS} "
-             f"under the repo root)",
-    )
 
 
 def _cmd_list_rules() -> int:
@@ -206,73 +187,6 @@ def format_github(report: LintReport) -> str:
     return "\n".join(out)
 
 
-def _effects_payload(paths: List[Path], root: Path) -> "dict[str, object]":
-    """The pass-effect map inferred from the sources under ``paths``."""
-    modules = [
-        module
-        for module in collect_modules(paths, display_root=root)
-        if module.module_key and module.module_key[0] in EFFECT_SCOPE
-    ]
-    return effect_map(analyze_project(modules))
-
-
-def _cmd_write_effects(paths: List[Path], root: Path,
-                       effects_path: Path) -> int:
-    try:
-        payload = _effects_payload(paths, root)
-    except (OSError, SyntaxError) as exc:
-        print(f"lint: cannot analyze sources: {exc}", file=sys.stderr)
-        return 2
-    effects_path.parent.mkdir(parents=True, exist_ok=True)
-    effects_path.write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    )
-    passes = payload["passes"]
-    assert isinstance(passes, dict)
-    print(f"lint: wrote effect contracts for {len(passes)} passes to "
-          f"{effects_path}")
-    return 0
-
-
-def _cmd_check_effects(paths: List[Path], root: Path,
-                       effects_path: Path) -> int:
-    if not effects_path.exists():
-        print(f"lint: no effect map at {effects_path} (generate with "
-              f"--write-effects)", file=sys.stderr)
-        return 2
-    try:
-        committed = json.loads(effects_path.read_text())
-    except (OSError, ValueError) as exc:
-        print(f"lint: bad effect map {effects_path}: {exc}",
-              file=sys.stderr)
-        return 2
-    try:
-        current = _effects_payload(paths, root)
-    except (OSError, SyntaxError) as exc:
-        print(f"lint: cannot analyze sources: {exc}", file=sys.stderr)
-        return 2
-    if committed == current:
-        passes = current["passes"]
-        assert isinstance(passes, dict)
-        print(f"lint: effect map is current ({len(passes)} passes)")
-        return 0
-    old_passes = committed.get("passes") if isinstance(committed, dict) else {}
-    new_passes = current["passes"]
-    assert isinstance(new_passes, dict)
-    if not isinstance(old_passes, dict):
-        old_passes = {}
-    drifted = sorted(
-        key
-        for key in set(old_passes) | set(new_passes)
-        if old_passes.get(key) != new_passes.get(key)
-    )
-    what = ", ".join(drifted) if drifted else "protocol metadata"
-    print(f"lint: {effects_path} is stale ({what} drifted) -- "
-          f"regenerate with --write-effects and commit the diff",
-          file=sys.stderr)
-    return 1
-
-
 def _cmd_prune_baseline(
     baseline_path: Path,
     baseline: "dict[str, dict[str, object]]",
@@ -307,15 +221,6 @@ def run_from_args(args: argparse.Namespace) -> int:
         if args.rules
         else None
     )
-
-    effects_path = (
-        Path(args.effects_file) if args.effects_file is not None
-        else root / DEFAULT_EFFECTS
-    )
-    if args.write_effects:
-        return _cmd_write_effects(paths, root, effects_path)
-    if args.check_effects:
-        return _cmd_check_effects(paths, root, effects_path)
 
     baseline_path: Optional[Path] = None
     if not args.no_baseline:

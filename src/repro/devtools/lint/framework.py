@@ -48,7 +48,6 @@ __all__ = [
     "LintRule",
     "ModuleSource",
     "all_rules",
-    "collect_modules",
     "get_rule",
     "load_baseline",
     "register_rule",
@@ -323,9 +322,7 @@ def get_rule(code: str) -> Optional[LintRule]:
 def _ensure_rules_loaded() -> None:
     # The built-in rules live in a sibling module that registers on
     # import; loading lazily keeps `import repro` free of lint costs.
-    # The passaudit package contributes RL006/RL007 the same way.
     from . import rules  # noqa: F401
-    from ..passaudit import rules as _passaudit_rules  # noqa: F401
 
 
 class _SuppressionHygiene(LintRule):
@@ -487,25 +484,6 @@ def _display_path(file_path: Path, base: Optional[Path] = None) -> str:
         except ValueError:
             continue
     return file_path.as_posix()
-
-
-def collect_modules(
-    paths: Sequence[PathLike],
-    display_root: Optional[PathLike] = None,
-) -> List[ModuleSource]:
-    """Load every ``*.py`` under ``paths`` as a :class:`ModuleSource`.
-
-    Strict counterpart of the collection loop in :func:`run_lint`:
-    parse and I/O errors propagate instead of degrading to findings.
-    Used by consumers (the passaudit effect-map commands) that need
-    the module set without running any rules.
-    """
-    base = Path(display_root).resolve() if display_root is not None else None
-    modules: List[ModuleSource] = []
-    for root, file_path in _collect_files(paths):
-        display = _display_path(file_path, base)
-        modules.append(load_module(file_path, root, display))
-    return modules
 
 
 def run_lint(

@@ -1,52 +1,32 @@
-"""passaudit: interprocedural effect analysis for the solver pipeline.
+"""passaudit: the interprocedural leg of reprolint's RL001.
 
-Built on the reprolint framework (:mod:`repro.devtools.lint`), this
-package makes the solver's incremental-reuse contracts *statically*
-checkable instead of relying on the dynamic parity sweep alone:
+Built on the reprolint framework (:mod:`repro.devtools.lint`):
 
 * :mod:`.callgraph` -- a bounded intraproject call graph over the
-  scanned modules (``repro.core.*`` / ``repro.ir.*``), with import
-  resolution, per-class method indexing and the
-  ``# passaudit: const(reason)`` pragma that declares a memoising
-  query method logically read-only;
-* :mod:`.effects` -- AST effect inference: for every ``Pass``
-  subclass, the set of ``SolverState`` attributes its ``run`` reads
-  and writes, following helper calls through the call graph, plus the
-  committed effect map (``tools/pass-effects.json``);
+  scanned modules, with import resolution and per-class method
+  indexing;
 * :mod:`.ordertaint` -- iteration-order taint summaries (does a
   helper's *return value* expose set/hash order?) that make RL001
-  interprocedural;
-* :mod:`.rules` -- RL006 (declared ``reads``/``writes`` contracts
-  match the inference) and RL007 (writes to reuse-tracked fields mark
-  their dirtiness channels; memo structures are refreshed by their
-  consumers).
+  interprocedural.
 
-Everything here is stdlib-only (``ast`` + ``re``) so it runs through
+The solver passes' ``reads``/``writes`` contracts are not checked
+here: ``tests/test_pass_contracts.py`` records what each pass touches
+while it runs and compares that with the declarations.
+
+Everything here is stdlib-only (``ast``) so it runs through
 ``tools/run_lint.py`` on a bare interpreter.
 """
 
 from __future__ import annotations
 
 from .callgraph import CallGraph, ClassInfo, FunctionInfo, module_name
-from .effects import (
-    EFFECT_MAP_KIND,
-    PassReport,
-    ProjectEffects,
-    analyze_project,
-    effect_map,
-)
 from .ordertaint import OrderTaint, TaintConfig
 
 __all__ = [
     "CallGraph",
     "ClassInfo",
-    "EFFECT_MAP_KIND",
     "FunctionInfo",
     "OrderTaint",
-    "PassReport",
-    "ProjectEffects",
     "TaintConfig",
-    "analyze_project",
-    "effect_map",
     "module_name",
 ]

@@ -1,4 +1,4 @@
-"""Bounded intraproject call graph for the passaudit analyses.
+"""Bounded intraproject call graph behind RL001's order taint.
 
 The graph is built from the :class:`~repro.devtools.lint.framework.ModuleSource`
 objects a rule's ``check_project`` receives, so it sees exactly the
@@ -12,25 +12,16 @@ deliberately bounded:
 * ``self.method(...)`` resolves within the owning class;
 * ``receiver.method(...)`` resolves by *unique method name* across
   every scanned class -- when several classes define the name, all
-  candidates are returned and callers union their effects.
+  candidates are returned and callers union their summaries.
 
-Anything outside the scanned set is either assumed effect-free (the
-stdlib, builtins) or reported as unresolvable so downstream analyses
-can mark their summaries incomplete instead of silently guessing.
-
-The ``# passaudit: const(reason)`` pragma, parsed here, declares a
-method *logically* read-only: memoising query methods (lazy caches
-such as ``SequencingGraph.topological_order``) write private cache
-attributes inside what is semantically a pure query.  The pragma drops the
-method's self-writes from effect summaries; the reason is mandatory
-and a reasonless or dangling pragma is itself reported (RL006).
+A name outside the scanned set resolves to its :class:`ImportEntry`
+(or to nothing); RL001's own vocabulary covers the stdlib's set-like
+calls.
 """
 
 from __future__ import annotations
 
 import ast
-import builtins
-import re
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -45,14 +36,6 @@ __all__ = [
 ]
 
 FunctionNode = Union[ast.FunctionDef, ast.AsyncFunctionDef]
-
-_BUILTIN_NAMES = frozenset(dir(builtins))
-
-# The reason group is greedy to the line's last ``)`` so reasons may
-# themselves mention calls like ``refine()``.
-_CONST_RE = re.compile(
-    r"#\s*passaudit:\s*const(?:\((?P<reason>.*)\))?"
-)
 
 
 def module_name(module: ModuleSource) -> str:
@@ -83,15 +66,6 @@ class ClassInfo:
     def name(self) -> str:
         return self.node.name
 
-    def base_names(self) -> List[str]:
-        names = []
-        for base in self.node.bases:
-            if isinstance(base, ast.Name):
-                names.append(base.id)
-            elif isinstance(base, ast.Attribute):
-                names.append(base.attr)
-        return names
-
 
 @dataclass(eq=False)
 class FunctionInfo:
@@ -103,9 +77,6 @@ class FunctionInfo:
     owner: Optional[ClassInfo] = None
     is_static: bool = False
     is_classmethod: bool = False
-    # None: no pragma.  Otherwise the (possibly empty) reason string.
-    const_reason: Optional[str] = None
-    const_line: int = 0
 
     @property
     def name(self) -> str:
@@ -141,9 +112,6 @@ class FunctionInfo:
         positional = self.positional_params
         return positional[0] if positional else None
 
-    def is_const(self) -> bool:
-        return self.const_reason is not None
-
 
 @dataclass(frozen=True)
 class ImportEntry:
@@ -152,12 +120,6 @@ class ImportEntry:
     target_module: str  # package-relative dotted name ("core.binding")
     symbol: Optional[str]  # None for `import x` module bindings
     internal: bool  # True when the target lives under the repro tree
-
-
-def _first_def_line(node: FunctionNode) -> int:
-    lines = [node.lineno]
-    lines.extend(d.lineno for d in node.decorator_list)
-    return min(lines)
 
 
 class CallGraph:
@@ -170,8 +132,6 @@ class CallGraph:
         self.classes: Dict[Tuple[str, str], ClassInfo] = {}
         self.methods_by_name: Dict[str, List[FunctionInfo]] = {}
         self.imports: Dict[str, Dict[str, ImportEntry]] = {}
-        # (module, line, message) hygiene problems from const pragmas.
-        self.pragma_problems: List[Tuple[ModuleSource, int, str]] = []
         for module in self.modules:
             self._index_module(module)
 
@@ -179,13 +139,9 @@ class CallGraph:
     def _index_module(self, module: ModuleSource) -> None:
         modname = module_name(module)
         self.module_names[modname] = module
-        pragmas = self._const_pragmas(module)
-        claimed: Dict[int, bool] = {line: False for line in pragmas}
-
         for node in module.tree.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                info = self._function_info(module, modname, node, None,
-                                           pragmas, claimed)
+                info = self._function_info(module, modname, node, None)
                 self.functions[(modname, node.name)] = info
             elif isinstance(node, ast.ClassDef):
                 cls = ClassInfo(module=module, module_name=modname, node=node)
@@ -194,63 +150,23 @@ class CallGraph:
                     if isinstance(item, (ast.FunctionDef,
                                          ast.AsyncFunctionDef)):
                         info = self._function_info(module, modname, item,
-                                                   cls, pragmas, claimed)
+                                                   cls)
                         cls.methods[item.name] = info
                         self.methods_by_name.setdefault(
                             item.name, []
                         ).append(info)
         self.imports[modname] = self._import_table(module, modname)
 
-        for line, used in sorted(claimed.items()):
-            if not used:
-                self.pragma_problems.append((
-                    module, line,
-                    "passaudit const pragma is not attached to any "
-                    "function definition",
-                ))
-
     @staticmethod
-    def _const_pragmas(module: ModuleSource) -> Dict[int, str]:
-        """``{line: reason}`` for every const pragma in the module."""
-        pragmas: Dict[int, str] = {}
-        for index, text in enumerate(module.lines, start=1):
-            match = _CONST_RE.search(text)
-            if match is not None:
-                pragmas[index] = (match.group("reason") or "").strip()
-        return pragmas
-
     def _function_info(
-        self,
         module: ModuleSource,
         modname: str,
         node: FunctionNode,
         owner: Optional[ClassInfo],
-        pragmas: Dict[int, str],
-        claimed: Dict[int, bool],
     ) -> FunctionInfo:
         decorators = {
             d.id for d in node.decorator_list if isinstance(d, ast.Name)
         }
-        const_reason: Optional[str] = None
-        const_line = 0
-        # The pragma may sit on the line above the def (or its first
-        # decorator) or on any line of the (possibly multi-line)
-        # signature itself.
-        first = _first_def_line(node)
-        body_start = node.body[0].lineno if node.body else node.lineno + 1
-        for line in range(first - 1, body_start):
-            if line in pragmas:
-                claimed[line] = True
-                const_reason = pragmas[line]
-                const_line = line
-                break
-        if const_reason is not None and not const_reason:
-            self.pragma_problems.append((
-                module, const_line,
-                f"passaudit const pragma on {node.name}() gives no reason "
-                f"-- write '# passaudit: const(why the writes are "
-                f"logically read-only)'",
-            ))
         return FunctionInfo(
             module=module,
             module_name=modname,
@@ -258,8 +174,6 @@ class CallGraph:
             owner=owner,
             is_static="staticmethod" in decorators,
             is_classmethod="classmethod" in decorators,
-            const_reason=const_reason,
-            const_line=const_line,
         )
 
     def _import_table(
@@ -367,7 +281,3 @@ class CallGraph:
             for mname in sorted(cls.methods):
                 out.append(cls.methods[mname])
         return out
-
-    @staticmethod
-    def is_builtin(name: str) -> bool:
-        return name in _BUILTIN_NAMES

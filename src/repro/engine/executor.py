@@ -198,10 +198,14 @@ class ProcessPerRunExecutor:
     def _start(self, request: AllocationRequest) -> "_LiveRun | AllocationResult":
         """Fork one worker; an un-startable request envelopes the error."""
         parent_conn, child_conn = self._context.Pipe(duplex=False)
+        # daemon: multiprocessing terminates the worker if the parent
+        # exits normally first.  A parent killed by a signal leaves it
+        # running -- the OS reparents orphans, it does not kill them --
+        # which is why ``repro serve`` turns SIGTERM into a normal exit.
         process = self._context.Process(
             target=_child_main,
             args=(child_conn, request),
-            daemon=True,  # the OS reaps strays if the parent dies first
+            daemon=True,
         )
         try:
             process.start()

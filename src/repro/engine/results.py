@@ -10,6 +10,7 @@ its return value, or which exception it used to signal infeasibility.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional, Tuple
 
@@ -22,6 +23,7 @@ __all__ = [
     "AllocationResult",
     "DeltaRequest",
     "PRIORITY_CLASSES",
+    "validate_timeout",
 ]
 
 # Admission-control priority classes, best to worst service level.
@@ -31,6 +33,23 @@ __all__ = [
 # bounds a separate queue per class (see repro.service.fleet).
 PRIORITY_CLASSES = ("interactive", "normal", "bulk")
 DEFAULT_PRIORITY = "normal"
+
+
+def validate_timeout(timeout: Any) -> None:
+    """Raise ``ValueError`` unless ``timeout`` is ``None`` or a finite
+    int/float number of seconds > 0 (a bool is refused)."""
+    if timeout is None:
+        return
+    if (
+        isinstance(timeout, bool)
+        or not isinstance(timeout, (int, float))
+        or not math.isfinite(timeout)
+        or timeout <= 0
+    ):
+        raise ValueError(
+            f"timeout must be None or a finite number of seconds > 0, "
+            f"got {timeout!r}"
+        )
 
 
 @dataclass(frozen=True)
@@ -51,7 +70,8 @@ class AllocationRequest:
             coordinator uses it to pick the bounded queue the request
             is admitted to.  Never part of the content identity: two
             requests differing only in priority are the same work.
-        timeout: optional wall-clock budget in seconds.  A hard
+        timeout: optional wall-clock budget, a finite number of seconds
+            > 0 (anything else raises ``ValueError``).  A hard
             per-solve deadline under the process-per-run executor
             (``Engine(executor="process")`` -- the worker is killed);
             enforced by abandoning the worker in pooled ``run_batch``
@@ -69,6 +89,7 @@ class AllocationRequest:
     priority: Optional[str] = None
 
     def __post_init__(self) -> None:
+        validate_timeout(self.timeout)
         if self.priority is not None and self.priority not in PRIORITY_CLASSES:
             raise ValueError(
                 f"priority must be one of {PRIORITY_CLASSES}, "

@@ -104,7 +104,6 @@ class SequencingGraph:
         """Data-dependency edges as (producer, consumer) name pairs."""
         return tuple(self._g.edges())
 
-    # passaudit: const(lazy adjacency memo; mutators invalidate it)
     def predecessors(self, name: str) -> List[str]:
         cached = self._pred_cache.get(name)
         if cached is None:
@@ -116,7 +115,6 @@ class SequencingGraph:
             self._pred_cache[name] = cached
         return list(cached)
 
-    # passaudit: const(lazy adjacency memo; mutators invalidate it)
     def successors(self, name: str) -> List[str]:
         cached = self._succ_cache.get(name)
         if cached is None:
@@ -134,7 +132,6 @@ class SequencingGraph:
     def sinks(self) -> List[str]:
         return sorted(n for n in self._g.nodes if self._g.out_degree(n) == 0)
 
-    # passaudit: const(lazy topo-order memo; mutators invalidate it)
     def topological_order(self) -> List[str]:
         """Deterministic topological ordering (lexicographic tie-break)."""
         if self._topo_cache is None:

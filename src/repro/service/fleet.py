@@ -86,7 +86,11 @@ from ..engine.engine import (
     content_key_from_fingerprint,
     versioned_content_key,
 )
-from ..engine.results import DEFAULT_PRIORITY, PRIORITY_CLASSES
+from ..engine.results import (
+    DEFAULT_PRIORITY,
+    PRIORITY_CLASSES,
+    validate_timeout,
+)
 from ..io.service import (
     BATCH_REQUEST_KIND,
     BATCH_RESULTS_KIND,
@@ -445,6 +449,15 @@ class FleetCoordinator(HttpServerBase):
             )
         return str(name)
 
+    @staticmethod
+    def _check_timeout(entry: Mapping[str, Any], kind: str) -> None:
+        """Refuse a malformed ``timeout`` with a 400 before any worker
+        forward, exactly as the worker's own parse would."""
+        try:
+            validate_timeout(entry.get("timeout"))
+        except ValueError as exc:
+            raise HttpError(400, f"bad {kind}: {exc}") from None
+
     @contextlib.contextmanager
     def _admitted(self, wanted: Mapping[str, int]) -> Iterator[None]:
         """Hold admission slots for every class in ``wanted`` or shed
@@ -616,6 +629,7 @@ class FleetCoordinator(HttpServerBase):
                 f"{data.get('kind') if isinstance(data, dict) else data!r}",
             )
         cls = self._class_of(data)
+        self._check_timeout(data, "allocation-request")
         with self._admitted({cls: 1}):
             return await self._timed(cls, self._serve_entry(data))
 
@@ -638,6 +652,7 @@ class FleetCoordinator(HttpServerBase):
         labelled: List[Tuple[Dict[str, Any], str]] = []
         for entry in entries:
             cls = self._class_of(entry)
+            self._check_timeout(entry, BATCH_REQUEST_KIND)
             wanted[cls] = wanted.get(cls, 0) + 1
             labelled.append((entry, cls))
         # All-or-nothing admission: a batch is one unit of work, and

@@ -226,8 +226,8 @@ class TestChainCache:
             [Operation(n, "mul", (8, 8)) for n in self.names], [SMALL, BIG]
         )
 
-    def make_cache(self, **kwargs):
-        cache = ChainCache(**kwargs)
+    def make_cache(self):
+        cache = ChainCache()
         cache.ensure_index(self.wcg, AREA)
         cache.refresh(self.schedule, self.latencies, self.names)
         return cache
@@ -276,14 +276,6 @@ class TestChainCache:
         self.lookup(cache, SMALL, ["a", "b"])
         slower = dict(self.latencies, b=3)
         assert cache.refresh(self.schedule, slower, self.names) == 1
-
-    def test_capacity_evicts_oldest(self):
-        cache = self.make_cache(max_entries_per_resource=2)
-        self.lookup(cache, SMALL, ["a"])
-        self.lookup(cache, SMALL, ["b"])
-        self.lookup(cache, SMALL, ["c"])  # evicts ["a"]
-        self.lookup(cache, SMALL, ["a"])
-        assert cache.misses == 4 and cache.evicted == 2
 
     def test_bindselect_with_cache_is_identical(self):
         ops = [Operation(f"m{i}", "mul", (8 + i, 8)) for i in range(6)]

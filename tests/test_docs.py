@@ -150,34 +150,3 @@ class TestCheckerHardening:
             "[real](doc.md)\n"
         )
         assert check_docs.check_links(doc) == []
-
-    def test_chain_cache_lru_keeps_hot_entry(self):
-        from repro.core.binding import ChainCache
-        from repro.core.wcg import WordlengthCompatibilityGraph
-        from repro.ir.ops import Operation
-        from repro.resources.area import SonicAreaModel
-        from repro.resources.latency import SonicLatencyModel
-        from repro.resources.types import ResourceType
-
-        schedule = {"a": 0, "b": 2, "c": 4}
-        latencies = {"a": 2, "b": 2, "c": 2}
-        resource = ResourceType("mul", (8, 8))
-        wcg = WordlengthCompatibilityGraph(
-            [Operation(n, "mul", (8, 8)) for n in schedule], [resource],
-            SonicLatencyModel(),
-        )
-        cache = ChainCache(max_entries_per_resource=2)
-        cache.ensure_index(wcg, SonicAreaModel())
-        cache.refresh(schedule, latencies, ("a", "b", "c"))
-
-        def lookup(*names):
-            mask = sum(1 << wcg.op_id[n] for n in names)
-            rid = wcg.resource_id[resource]
-            return cache.chain_for_mask(rid, mask, schedule, latencies)
-
-        lookup("a", "b", "c")  # hot
-        lookup("b")
-        lookup("a", "b", "c")  # touch
-        lookup("c")  # evicts ["b"]
-        lookup("a", "b", "c")
-        assert cache.hits == 2  # the hot full-candidate entry survived

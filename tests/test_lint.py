@@ -604,8 +604,7 @@ class TestCli:
         assert repro_main(["lint", "--list-rules"]) == 0
         listed = capsys.readouterr().out
         for code in (
-            "RL000", "RL001", "RL002", "RL003",
-            "RL004", "RL005", "RL006", "RL007",
+            "RL000", "RL001", "RL002", "RL003", "RL004", "RL005",
         ):
             assert code in listed
         assert repro_main(["lint", "--explain", "RL003"]) == 0

@@ -8,6 +8,7 @@ standard error envelope, never a hung connection.
 """
 
 import asyncio
+import contextlib
 import json
 import multiprocessing
 import os
@@ -841,3 +842,145 @@ class TestServedTraceTelemetry:
         assert events
         assert all("pass_ms" in event for event in events)
         assert any("cache_hits" in event for event in events)
+
+
+# ----------------------------------------------------------------------
+# malformed timeouts and shutdown
+# ----------------------------------------------------------------------
+
+BAD_TIMEOUTS = ["abc", [1], {"a": 1}, -1, 0, float("nan"), float("inf"), True]
+
+
+@pytest.fixture(scope="module")
+def fleet_over_two_workers():
+    with ServerThread(engine=Engine(), max_concurrency=1) as first, \
+            ServerThread(engine=Engine(), max_concurrency=1) as second:
+        with FleetThread(worker_urls=[first.url, second.url]) as fleet:
+            ServiceClient(fleet.url).wait_healthy()
+            yield first, fleet
+
+
+class TestMalformedTimeout:
+    @pytest.mark.parametrize("timeout", BAD_TIMEOUTS, ids=repr)
+    def test_refused_at_construction_on_the_wire_and_on_the_cli(
+        self, timeout, fleet_over_two_workers, monkeypatch, capsys
+    ):
+        with pytest.raises(ValueError, match="timeout must be None or"):
+            make_request(timeout=timeout)
+
+        # Served by a worker or a fleet: a 400, and the fleet refuses it
+        # before spending a worker forward.
+        worker, fleet = fleet_over_two_workers
+        entry = allocate_request_payload(make_request())
+        entry["timeout"] = timeout
+        batch = {**batch_request_to_dict([]), "requests": [entry]}
+        for url in (worker.url, fleet.url):
+            client = ServiceClient(url)
+            for path, body, kind in (
+                ("/v1/allocate", entry, "allocation-request"),
+                ("/v1/batch", batch, "allocation-batch-request"),
+            ):
+                with pytest.raises(ServiceError) as excinfo:
+                    client._request("POST", path, body)
+                assert excinfo.value.status == 400
+                assert f"bad {kind}: timeout must be" in str(excinfo.value)
+        stats = ServiceClient(fleet.url).stats()
+        assert sum(w["forwards"] for w in stats["workers"]) == 0
+
+        # Every timeout flag: exit 2 with one line, before any handler.
+        import repro.cli as cli
+
+        for handler in ("_cmd_batch", "_cmd_shard", "_cmd_serve", "_cmd_fleet"):
+            monkeypatch.setattr(cli, handler, lambda args: 0)
+        text = json.dumps(timeout)
+        for argv in (
+            ["batch", "fir", "--timeout", text],
+            ["batch", "fir", "--url", "http://127.0.0.1:9",
+             "--http-timeout", text],
+            ["shard", "fir", "--shards", "1", "--out-dir", "x",
+             "--timeout", text],
+            ["serve", "--timeout", text],
+            ["fleet", "--timeout", text],
+            ["fleet", "--worker-timeout", text],
+        ):
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv)
+            assert excinfo.value.code == 2, argv
+            err = capsys.readouterr().err
+            assert "timeout" in err and "Traceback" not in err
+
+
+class TestServeShutdown:
+    @fork_only
+    def test_sigterm_exits_zero_and_kills_in_flight_solves(self, tmp_path):
+        """Supervisors (and a fleet's ``WorkerPool``) stop ``repro
+        serve`` with SIGTERM; it must exit 0 and take a solve still in
+        flight down with it instead of orphaning the solve process."""
+        import signal
+        import subprocess
+        import sys
+
+        pid_file = tmp_path / "solve.pid"
+        port = free_port()
+        script = (
+            "import os, sys, time\n"
+            "from repro.cli import main\n"
+            "from repro.engine import get_allocator, register_allocator\n"
+            "@register_allocator('test-serve-hang')\n"
+            "def hang(problem, **options):\n"
+            f"    open({str(pid_file)!r}, 'w').write(str(os.getpid()))\n"
+            "    time.sleep(120)\n"
+            "    return get_allocator('uniform')(problem)\n"
+            f"sys.exit(main(['serve', '--port', '{port}',"
+            " '--executor', 'process']))\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = "src" + (
+            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-c", script],
+            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+            text=True, env=env,
+        )
+        children = []
+        try:
+            assert "listening on" in proc.stdout.readline()
+            client = ServiceClient(f"http://127.0.0.1:{port}", timeout=30)
+
+            def solve():
+                with contextlib.suppress(Exception):  # the server dies
+                    client.run(make_request(allocator="test-serve-hang"))
+
+            threading.Thread(target=solve, daemon=True).start()
+            deadline = time.monotonic() + 30
+            while not pid_file.exists() and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert pid_file.exists(), "the hanging solve never started"
+            children = subprocess.run(
+                ["pgrep", "-P", str(proc.pid)],
+                capture_output=True, text=True,
+            ).stdout.split()
+            assert pid_file.read_text() in children
+
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=10) == 0
+            alive = [pid for pid in children if _running(int(pid))]
+            assert not alive, f"solves orphaned after SIGTERM: {alive}"
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+            proc.wait()
+            proc.stdout.close()
+            for pid in children:
+                if _running(int(pid)):
+                    os.kill(int(pid), 9)
+
+
+def _running(pid: int) -> bool:
+    """Whether ``pid`` is a live (not zombie) process."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False

@@ -67,7 +67,6 @@ def main(argv=None) -> int:
     # shrinks as findings are fixed.  Maintenance commands that edit
     # state themselves run without the extra failure mode.
     maintenance = {"--write-baseline", "--prune-baseline",
-                   "--write-effects", "--check-effects",
                    "--list-rules", "--explain"}
     if "--fail-stale" not in args and not maintenance.intersection(args):
         args = ["--fail-stale", *args]
