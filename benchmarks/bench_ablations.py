@@ -108,7 +108,7 @@ def test_eqn3_vs_eqn2_binding_consistency(benchmark):
     """Under Eqn. 2 the schedule can need more units than N_y; count how
     often the naive constraint under-provisions on the sweep, and bench
     the Eqn. 3 scheduler."""
-    from repro.core.scheduling import list_schedule
+    from repro.core.scheduling import list_schedule_outcome
     from repro.core.binding import bindselect
     from repro.core.wcg import WordlengthCompatibilityGraph
 
@@ -123,7 +123,7 @@ def test_eqn3_vs_eqn2_binding_consistency(benchmark):
         )
         latencies = wcg.upper_bound_latencies()
         limits = {"mul": 1, "add": 1}
-        schedule = list_schedule(
+        schedule = list_schedule_outcome(
             problem.graph, wcg, latencies, limits, constraint="eqn2"
         )
         binding = bindselect(
@@ -144,7 +144,7 @@ def test_eqn3_vs_eqn2_binding_consistency(benchmark):
     )
     latencies = wcg.upper_bound_latencies()
     benchmark(
-        lambda: list_schedule(
+        lambda: list_schedule_outcome(
             problem.graph, wcg, latencies, {"mul": 1, "add": 1}
         )
     )

@@ -13,10 +13,7 @@ from .refinement import (
 from .scheduling import (
     Eqn2Tracker,
     Eqn3Tracker,
-    ScheduleOutcome,
-    ScheduleWarmStart,
     critical_path_priorities,
-    list_schedule,
     list_schedule_outcome,
 )
 from .solution import Datapath, TraceEvent
@@ -41,8 +38,6 @@ __all__ = [
     "RefinementStep",
     "SOLVER_ENV",
     "SOLVER_MODES",
-    "ScheduleOutcome",
-    "ScheduleWarmStart",
     "SolverState",
     "TraceEvent",
     "WordlengthCompatibilityGraph",
@@ -52,7 +47,6 @@ __all__ = [
     "candidate_set",
     "choose_refinement_op",
     "critical_path_priorities",
-    "list_schedule",
     "list_schedule_outcome",
     "max_chain",
     "refine_once",

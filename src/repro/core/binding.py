@@ -219,10 +219,9 @@ class ChainCache:
     replayed *verbatim* whenever those inputs recur -- both across the
     greedy rounds of one ``bindselect`` call (a selected clique leaves
     most other resources' candidate sets untouched) and across outer
-    DPAlloc iterations (a refinement changes the schedule region and
-    candidate sets of only the affected cone; see
-    :class:`repro.core.scheduling.ScheduleWarmStart` for the scheduling
-    side of that argument).
+    DPAlloc iterations (a refinement changes one op's ``L_o``, and the
+    chains whose candidates' ``(start, L_o)`` values did not move stay
+    valid).
 
     Consistency contract: :meth:`refresh` must be called with the
     current schedule and latency bounds before each ``bindselect`` call.

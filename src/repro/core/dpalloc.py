@@ -50,8 +50,8 @@ Architecture (since the pass-pipeline refactor): the loop body lives in
 meta-mode on top of :func:`~repro.core.solver.run_pipeline`.  The state
 tracks dirtiness per operation, so by default an iteration recomputes
 only what the previous refinement actually invalidated (the refined
-op's upper bound, its kind's scheduling-set cover, the affected cone of
-the list schedule).  ``REPRO_SOLVER=scratch`` disables all reuse and is
+op's upper bound, its kind's scheduling-set cover, the max chains whose
+ops moved).  ``REPRO_SOLVER=scratch`` disables all reuse and is
 guaranteed -- by tests and a CI parity job over the full experiment
 sweep -- to produce byte-identical canonical results.
 """

@@ -35,9 +35,9 @@ An Eqn. 2 tracker is provided for the ablation benchmarks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, FrozenSet, List, Mapping, Optional, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Set, Tuple
 
 from ..ir.seqgraph import SequencingGraph
 from ..resources.types import ResourceType
@@ -47,10 +47,7 @@ from .wcg import WordlengthCompatibilityGraph, bit_ids
 __all__ = [
     "Eqn2Tracker",
     "Eqn3Tracker",
-    "ScheduleOutcome",
-    "ScheduleWarmStart",
     "critical_path_priorities",
-    "list_schedule",
     "list_schedule_outcome",
 ]
 
@@ -282,57 +279,6 @@ class _GreedyWedge(Exception):
     """Internal: the greedy list scheduler blocked itself permanently."""
 
 
-@dataclass(frozen=True)
-class ScheduleWarmStart:
-    """Previous-iteration schedule state for incremental rescheduling.
-
-    The greedy list scheduler is deterministic and event-driven: its
-    decisions strictly before the earliest time anything *changed* could
-    have influenced a decision are provably identical between the
-    previous run and a run with the new inputs.  That divergence bound
-    ``t0`` is the minimum of
-
-    * the previous release time of every operation in ``affected`` --
-      which must contain every op whose latency, list-priority value,
-      Eqn.-3 share/members, or (non-monotone) constraint changed; an
-      op cannot influence any decision before it first becomes ready;
-    * ``t0_cap`` -- a caller-supplied bound covering changes that are
-      *monotone admissions*: when a kind's constraint ``N_y`` only
-      increased (cover, members and shares unchanged), every admission
-      the previous run granted is still granted, so the first decision
-      that can flip is the previous run's earliest *rejection* of an op
-      of that kind (``ScheduleOutcome.first_rejects``).
-
-    ``prev_starts``/``prev_latencies`` must come from a *greedy* run
-    (not the serial fallback): the reuse proof replays the greedy
-    event trace.  :func:`list_schedule_outcome` reports which path
-    produced a schedule so callers can gate the next warm start.
-
-    The bind pass reuses the same change-locality: its
-    :class:`~repro.core.binding.ChainCache` invalidates exactly the
-    chains whose ops' ``(start, L_o)`` moved between iterations -- see
-    ``docs/architecture.md`` for the whole reuse table.
-    """
-
-    prev_starts: Mapping[str, int]
-    prev_latencies: Mapping[str, int]
-    affected: FrozenSet[str]
-    t0_cap: Optional[int] = None
-    prev_first_rejects: Mapping[str, int] = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class ScheduleOutcome:
-    """A schedule plus the provenance incremental callers need."""
-
-    starts: Dict[str, int]
-    greedy: bool  # False when the serial fallback produced the schedule
-    # Earliest event time at which an op of each kind failed admission
-    # (kinds never rejected are absent).  Feeds the next warm start's
-    # monotone-admission bound.
-    first_rejects: Mapping[str, int] = field(default_factory=dict)
-
-
 def serial_schedule(
     graph: SequencingGraph,
     latencies: Mapping[str, int],
@@ -388,42 +334,13 @@ def _greedy_schedule(
     graph: SequencingGraph,
     tracker: "Eqn2Tracker | Eqn3Tracker",
     latencies: Mapping[str, int],
-    prefix: Optional[Mapping[str, int]] = None,
-    resume: int = 0,
-    priorities: Optional[Mapping[str, int]] = None,
-    kind_of: Optional[Mapping[str, str]] = None,
-    first_rejects: Optional[Dict[str, int]] = None,
 ) -> Dict[str, int]:
-    """Greedy constructive list schedule, optionally warm-started.
-
-    ``prefix`` replays already-proven placements (identical in the new
-    run by the :class:`ScheduleWarmStart` argument) into the tracker and
-    resumes the event loop at ``resume`` -- the latest prefix start, so
-    the re-scan at ``resume`` re-rejects exactly the ops the previous
-    run rejected there (admission is monotone in committed load, and a
-    kind whose limit rose cannot have rejected anything before the
-    divergence bound) and the loop continues as a from-scratch run
-    would.  ``first_rejects`` (when given, with ``kind_of``) collects
-    the earliest rejection event time per resource kind.
-    """
-    priority = (
-        priorities
-        if priorities is not None
-        else critical_path_priorities(graph, latencies)
-    )
+    """Greedy constructive list schedule from control step 0."""
+    priority = critical_path_priorities(graph, latencies)
     pending: Set[str] = set(graph.names)
     start_times: Dict[str, int] = {}
     running: List[_Running] = []
     now = 0
-    if prefix:
-        for name in sorted(prefix, key=lambda n: (prefix[n], n)):
-            start = prefix[name]
-            start_times[name] = start
-            tracker.place(name, start, latencies[name])
-            if start + latencies[name] > resume:
-                running.append(_Running(name, start + latencies[name]))
-            pending.discard(name)
-        now = resume
 
     # Incremental readiness: per-op unplaced-predecessor counts and the
     # running max finish of placed predecessors.  Placing an op touches
@@ -435,32 +352,21 @@ def _greedy_schedule(
     preds_left: Dict[str, int] = {}
     release: Dict[str, int] = {}
     frontier: Set[str] = set()
-    # reprolint: disable=RL001(order-insensitive: per-op init, no cross-op state)
-    for n in pending:
-        left = 0
-        rel = 0
-        for p in graph.predecessors(n):
-            if p in start_times:
-                finish = start_times[p] + latencies[p]
-                if finish > rel:
-                    rel = finish
-            else:
-                left += 1
-        preds_left[n] = left
-        release[n] = rel
-        if left == 0:
+    for n in graph.names:
+        preds_left[n] = len(graph.predecessors(n))
+        release[n] = 0
+        if preds_left[n] == 0:
             frontier.add(n)
 
     def _commit(name: str, start: int) -> None:
         start_times[name] = start
         finish = start + latencies[name]
         for succ in graph.successors(name):
-            if succ in pending:
-                preds_left[succ] -= 1
-                if finish > release[succ]:
-                    release[succ] = finish
-                if preds_left[succ] == 0:
-                    frontier.add(succ)
+            preds_left[succ] -= 1
+            if finish > release[succ]:
+                release[succ] = finish
+            if preds_left[succ] == 0:
+                frontier.add(succ)
 
     while pending:
         ready = sorted(
@@ -474,8 +380,6 @@ def _greedy_schedule(
                 pending.discard(name)
                 frontier.discard(name)
                 _commit(name, now)
-            elif first_rejects is not None and kind_of is not None:
-                first_rejects.setdefault(kind_of[name], now)
         if not pending:
             break
 
@@ -499,50 +403,6 @@ def _greedy_schedule(
     return start_times
 
 
-def _warm_prefix(
-    graph: SequencingGraph,
-    latencies: Mapping[str, int],
-    warm: ScheduleWarmStart,
-) -> Optional[Tuple[Dict[str, int], int]]:
-    """The provably-reusable placement prefix of a warm start.
-
-    Returns ``(prefix placements, resume time)`` or ``None`` when
-    nothing can be reused.  The prefix is every previous placement that
-    starts before the divergence bound ``t0`` -- the earliest time
-    anything that changed could have influenced a decision (see
-    :class:`ScheduleWarmStart`); decisions before that point are
-    identical by induction over the event trace.
-    """
-    prev = warm.prev_starts
-    if set(prev) != set(graph.names):
-        return None
-    t0: Optional[int] = warm.t0_cap
-    if warm.affected:
-        affected_t0 = min(
-            max(
-                (
-                    prev[p] + warm.prev_latencies[p]
-                    for p in graph.predecessors(name)
-                ),
-                default=0,
-            )
-            for name in warm.affected
-        )
-        t0 = affected_t0 if t0 is None else min(t0, affected_t0)
-    if t0 is None:
-        # Nothing affected: the previous schedule is still exact.
-        return dict(prev), max(prev.values(), default=0)
-    prefix = {name: start for name, start in prev.items() if start < t0}
-    if not prefix:
-        return None
-    for name in prefix:
-        # Affected ops start at/after t0 by construction; a mismatch in
-        # replayed latencies would falsify the reuse proof, so fall back.
-        if name in warm.affected or warm.prev_latencies[name] != latencies[name]:
-            return None
-    return prefix, max(prefix.values())
-
-
 def list_schedule_outcome(
     graph: SequencingGraph,
     wcg: WordlengthCompatibilityGraph,
@@ -550,9 +410,7 @@ def list_schedule_outcome(
     resource_constraints: Optional[Mapping[str, int]] = None,
     constraint: str = "eqn3",
     scheduling_set: Optional[Tuple[ResourceType, ...]] = None,
-    warm: Optional[ScheduleWarmStart] = None,
-    priorities: Optional[Mapping[str, int]] = None,
-) -> ScheduleOutcome:
+) -> Dict[str, int]:
     """Resource-constrained list scheduling with latency upper bounds.
 
     Args:
@@ -567,18 +425,9 @@ def list_schedule_outcome(
         constraint: ``"eqn3"`` (paper) or ``"eqn2"`` (ablation).
         scheduling_set: precomputed scheduling set (the solver pipeline
             caches per-kind covers); ``None`` recomputes from ``wcg``.
-        warm: previous-iteration state for incremental rescheduling.
-            The result is byte-identical to a from-scratch run -- the
-            warm start only skips re-deriving the provably unchanged
-            placement prefix.
-        priorities: precomputed critical-path priorities for
-            ``latencies`` (the solver pipeline derives them while
-            computing the affected set); ``None`` recomputes them.
 
     Returns:
-        a :class:`ScheduleOutcome` (start step per operation, plus
-        whether the greedy pass -- rather than the serial fallback --
-        produced it).
+        the start control step of every operation.
 
     Raises:
         InfeasibleError: some operation can never satisfy the resource
@@ -593,7 +442,7 @@ def list_schedule_outcome(
     schedule fails the check the constraints are genuinely infeasible.
     """
     if not resource_constraints:
-        return ScheduleOutcome(graph.asap(latencies), greedy=True)
+        return graph.asap(latencies)
 
     def make_tracker() -> "Eqn2Tracker | Eqn3Tracker":
         if constraint == "eqn3":
@@ -602,35 +451,8 @@ def list_schedule_outcome(
             return Eqn2Tracker(wcg, resource_constraints)
         raise ValueError(f"unknown constraint {constraint!r}")
 
-    prefix: Optional[Dict[str, int]] = None
-    resume = 0
-    if warm is not None:
-        reusable = _warm_prefix(graph, latencies, warm)
-        if reusable is not None:
-            prefix, resume = reusable
-
-    kind_of = {op.name: op.resource_kind for op in graph.operations}
-    observed_rejects: Dict[str, int] = {}
     try:
-        starts = _greedy_schedule(
-            graph,
-            make_tracker(),
-            latencies,
-            prefix=prefix,
-            resume=resume,
-            priorities=priorities,
-            kind_of=kind_of,
-            first_rejects=observed_rejects,
-        )
-        # A replayed prefix skips the events before ``resume``, but
-        # those decisions -- including rejections -- are identical to
-        # the previous run's, so its pre-resume rejections carry over.
-        first_rejects = dict(observed_rejects)
-        if prefix is not None and warm is not None:
-            for kind, when in warm.prev_first_rejects.items():
-                if when < resume and when < first_rejects.get(kind, when + 1):
-                    first_rejects[kind] = when
-        return ScheduleOutcome(starts, greedy=True, first_rejects=first_rejects)
+        return _greedy_schedule(graph, make_tracker(), latencies)
     except _GreedyWedge:
         pass
 
@@ -647,17 +469,4 @@ def list_schedule_outcome(
                 f"serialised schedule)"
             )
         checker.place(name, schedule[name], latencies[name])
-    return ScheduleOutcome(schedule, greedy=False)
-
-
-def list_schedule(
-    graph: SequencingGraph,
-    wcg: WordlengthCompatibilityGraph,
-    latencies: Mapping[str, int],
-    resource_constraints: Optional[Mapping[str, int]] = None,
-    constraint: str = "eqn3",
-) -> Dict[str, int]:
-    """From-scratch list scheduling; see :func:`list_schedule_outcome`."""
-    return list_schedule_outcome(
-        graph, wcg, latencies, resource_constraints, constraint
-    ).starts
+    return schedule

@@ -15,10 +15,8 @@ touch:
   reused.
 * **schedule** -- the scheduling set decomposes exactly into per-kind
   covers (``H`` edges never cross kinds), so only the refined
-  operation's kind is re-covered; and the greedy list schedule is
-  resumed from the last placement that provably cannot have changed
-  (see :class:`repro.core.scheduling.ScheduleWarmStart` for the
-  argument) instead of being rebuilt from control step 0.
+  operation's kind is re-covered.  The list schedule itself keeps no
+  state across iterations: both modes rebuild it from control step 0.
 * **bind / check** -- Bindselect's greedy runs every iteration, but its
   max-chain kernel is memoised in a :class:`~repro.core.binding.ChainCache`:
   chains whose candidate sets and members' ``(start, L_o)`` values did
@@ -53,11 +51,7 @@ from ..resources.types import ResourceType
 from .binding import Binding, ChainCache, bindselect
 from .problem import InfeasibleError, Problem
 from .refinement import RefinementStep, bound_critical_path, refine_once
-from .scheduling import (
-    ScheduleWarmStart,
-    critical_path_priorities,
-    list_schedule_outcome,
-)
+from .scheduling import list_schedule_outcome
 from .solution import Datapath, TraceEvent
 from .wcg import WordlengthCompatibilityGraph
 
@@ -86,7 +80,7 @@ SOLVER_MODES = ("incremental", "scratch")
 # * ``REUSE_MEMOS``: a pass that reads a memo structure must also
 #   refresh it; memos are never trusted stale across iterations.
 REUSE_CHANNELS: Dict[str, Tuple[str, ...]] = {
-    "wcg": ("pending_bound_ops", "pending_refined_ops", "dirty_cover_kinds"),
+    "wcg": ("pending_bound_ops", "dirty_cover_kinds"),
 }
 REUSE_MEMOS: Tuple[str, ...] = ("chain_cache",)
 
@@ -213,10 +207,6 @@ class SolverState:
         self.ops_per_kind: Dict[str, int] = dict(
             Counter(self.kind_of.values())
         )
-        self.ops_of_kind: Dict[str, Tuple[str, ...]] = {
-            kind: tuple(n for n in self.names if self.kind_of[n] == kind)
-            for kind in self.ops_per_kind
-        }
         self.user_kinds: Set[str] = set(problem.resource_constraints or {})
 
         self.wcg = WordlengthCompatibilityGraph(
@@ -241,7 +231,6 @@ class SolverState:
         self.scheduling_set: Tuple[ResourceType, ...] = ()
         self.constraints: Dict[str, int] = {}
         self.schedule: Optional[Dict[str, int]] = None
-        self.schedule_greedy = False
         self.binding: Optional[Binding] = None
         self.bound_latencies: Dict[str, int] = {}
         self.makespan = 0
@@ -249,19 +238,9 @@ class SolverState:
         self.feasible = False
 
         # Dirtiness between iterations.  ``pending_bound_ops`` feeds the
-        # bounds pass; ``pending_refined_ops`` feeds the schedule pass's
-        # affected-cone computation; cover kinds feed the per-kind
-        # scheduling-set cache.
+        # bounds pass; cover kinds feed the per-kind scheduling-set cache.
         self.pending_bound_ops: Set[str] = set()
-        self.pending_refined_ops: Set[str] = set()
         self.dirty_cover_kinds: Set[str] = set()
-
-        # Previous-iteration snapshots consumed by warm starts.
-        self.prev_kind_covers: Dict[str, Tuple[ResourceType, ...]] = {}
-        self.prev_constraints: Dict[str, int] = {}
-        self.scheduled_bounds: Dict[str, int] = {}
-        self.prev_priorities: Dict[str, int] = {}
-        self.prev_first_rejects: Dict[str, int] = {}
 
         # Cross-iteration reuse state of the bind pass (incremental
         # runs only): memoised Bindselect max chains.
@@ -274,7 +253,6 @@ class SolverState:
         """Bookkeeping for one accepted refinement move."""
         self.refinements.append(step)
         self.pending_bound_ops.add(step.operation)
-        self.pending_refined_ops.add(step.operation)
         self.dirty_cover_kinds.add(self.kind_of[step.operation])
         self.trace.append(
             TraceEvent(
@@ -378,23 +356,19 @@ class SchedulePass(Pass):
     """Scheduling set, derived constraints, and the list schedule.
 
     Incremental: only the refined operation's kind is re-covered (the
-    cover problem is kind-separable), and the greedy list schedule is
-    warm-started past the placements that provably cannot have changed.
+    cover problem is kind-separable).  The list schedule is rebuilt
+    from control step 0 in both modes.
     """
 
     name = "schedule"
     reads = frozenset({
         "bumps", "dirty_cover_kinds", "graph", "incremental",
-        "kind_covers", "ops_of_kind", "ops_per_kind", "options",
-        "pending_refined_ops", "prev_constraints", "prev_first_rejects",
-        "prev_kind_covers", "prev_priorities", "problem", "schedule",
-        "schedule_greedy", "scheduled_bounds", "upper_bounds", "wcg",
+        "kind_covers", "ops_per_kind", "options", "problem",
+        "upper_bounds", "wcg",
     })
     writes = frozenset({
-        "constraints", "dirty_cover_kinds", "kind_covers",
-        "pending_refined_ops", "prev_constraints", "prev_first_rejects",
-        "prev_kind_covers", "prev_priorities", "schedule",
-        "schedule_greedy", "scheduled_bounds", "scheduling_set",
+        "constraints", "dirty_cover_kinds", "kind_covers", "schedule",
+        "scheduling_set",
     })
 
     def run(self, state: SolverState) -> None:
@@ -422,29 +396,16 @@ class SchedulePass(Pass):
             constraints = dict(state.problem.resource_constraints or {})
 
         assert state.upper_bounds is not None
-        priorities = critical_path_priorities(state.graph, state.upper_bounds)
-        warm = self._warm_start(state, priorities, constraints)
-        outcome = list_schedule_outcome(
+        state.schedule = list_schedule_outcome(
             state.graph,
             wcg,
             state.upper_bounds,
             resource_constraints=constraints,
             constraint=opts.constraint,
             scheduling_set=scheduling_set,
-            warm=warm,
-            priorities=priorities,
         )
-
-        state.schedule = outcome.starts
-        state.schedule_greedy = outcome.greedy
         state.scheduling_set = scheduling_set
         state.constraints = constraints
-        state.prev_kind_covers = dict(state.kind_covers)
-        state.prev_constraints = dict(constraints)
-        state.scheduled_bounds = dict(state.upper_bounds)
-        state.prev_priorities = priorities
-        state.prev_first_rejects = dict(outcome.first_rejects)
-        state.pending_refined_ops = set()
         state.dirty_cover_kinds = set()
 
     @staticmethod
@@ -462,67 +423,6 @@ class SchedulePass(Pass):
                 )
                 constraints[kind] = min(max(derived, 1), total)
         return constraints
-
-    @staticmethod
-    def _warm_start(
-        state: SolverState,
-        priorities: Dict[str, int],
-        constraints: Dict[str, int],
-    ) -> Optional[ScheduleWarmStart]:
-        """Divergence inputs for resuming last iteration's greedy schedule.
-
-        Release-based *affected* ops = the refined ops (latency and
-        Eqn.-3 share changes) plus every op whose critical-path priority
-        value actually moved (latency changes only propagate upward, and
-        usually die out where another successor chain dominates) plus
-        every op of a kind whose scheduling-set cover changed or whose
-        constraint moved non-monotonically.  A kind whose constraint
-        merely *increased* (cover unchanged) cannot flip a decision
-        before the previous run's first rejection of that kind, which
-        becomes the ``t0_cap`` bound instead of dragging the whole kind
-        into the affected set.
-        """
-        if not state.incremental or state.schedule is None:
-            return None
-        if not state.schedule_greedy:
-            # The serial fallback is not a greedy event trace; the
-            # prefix-reuse proof does not apply to it.
-            return None
-        affected: Set[str] = set(state.pending_refined_ops)
-        affected.update(
-            name
-            for name, value in priorities.items()
-            if state.prev_priorities.get(name) != value
-        )
-        assert state.kind_covers is not None
-        t0_cap: Optional[int] = None
-        for kind in state.ops_per_kind:
-            cover_same = state.prev_kind_covers.get(kind) == state.kind_covers.get(
-                kind
-            )
-            prev_limit = state.prev_constraints.get(kind)
-            new_limit = constraints.get(kind)
-            if cover_same and prev_limit == new_limit:
-                continue
-            if (
-                cover_same
-                and prev_limit is not None
-                and new_limit is not None
-                and new_limit > prev_limit
-            ):
-                # Monotone admission: every previous grant still holds.
-                first = state.prev_first_rejects.get(kind)
-                if first is not None:
-                    t0_cap = first if t0_cap is None else min(t0_cap, first)
-                continue
-            affected.update(state.ops_of_kind[kind])
-        return ScheduleWarmStart(
-            prev_starts=state.schedule,
-            prev_latencies=state.scheduled_bounds,
-            affected=frozenset(affected),
-            t0_cap=t0_cap,
-            prev_first_rejects=state.prev_first_rejects,
-        )
 
 
 class BindPass(Pass):
@@ -601,13 +501,13 @@ class RefinePass(Pass):
         "area", "binding", "bound_latencies", "bumps", "constraints",
         "dirty_cover_kinds", "graph", "iteration", "iteration_cap",
         "kind_of", "makespan", "ops_per_kind", "options",
-        "pending_bound_ops", "pending_refined_ops", "problem",
+        "pending_bound_ops", "problem",
         "refinements", "schedule", "scheduling_set", "trace",
         "upper_bounds", "user_kinds", "wcg",
     })
     writes = frozenset({
         "bumps", "dirty_cover_kinds", "pending_bound_ops",
-        "pending_refined_ops", "refinements", "trace", "wcg",
+        "refinements", "trace", "wcg",
     })
 
     def run(self, state: SolverState) -> None:
@@ -811,7 +711,6 @@ def forward_state(
                 RefinementStep(target, deleted, record["pool"])
             )
             state.pending_bound_ops.add(target)
-            state.pending_refined_ops.add(target)
             state.dirty_cover_kinds.add(state.kind_of[target])
         else:
             state.bumps[target] = state.bumps.get(target, 0) + 1

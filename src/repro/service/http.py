@@ -171,6 +171,12 @@ class HttpServerBase:
             await self._write_response(writer, status, payload)
         except (ConnectionError, asyncio.IncompleteReadError):
             pass  # client went away; nothing to answer
+        except asyncio.CancelledError:
+            # The server is stopping with this request in flight.  Nothing
+            # awaits this task, but Python 3.11's start_server done-callback
+            # calls task.exception() on it, which raises for a cancelled
+            # task and logs a traceback; ending normally stays quiet.
+            pass
         finally:
             try:
                 writer.close()

@@ -10,10 +10,12 @@
 * **Delta goldens** -- the strategy and verified/resumed iteration split
   of a warm ``lambda + 1`` deadline edit, whose envelope must also be
   canonical-byte identical to a cold solve of the edited problem.
-* **Reuse counts** (incremental mode only) -- each cross-iteration
-  reuse mechanism fires: the chain cache hits, and the schedule pass
-  resumes a non-empty warm prefix.  Bounds, not exact counts, so the
-  greedy may evaluate fewer chains without breaking them.
+* **Reuse counts** (incremental mode only) -- the bind pass's chain
+  cache hits across iterations.  A bound, not an exact count, so the
+  greedy may evaluate fewer chains without breaking it.
+* **Schedule work** -- ``Eqn3Tracker.admits`` calls per solve loop.
+  The list schedule keeps no state across iterations, so the count is
+  the same in both modes; each stays at or below its measured count.
 * **Hashing bounds** -- ``ResourceType.__hash__`` calls per solve loop.
   ``H`` lives in id bitsets, so Bindselect hashes no ``ResourceType``
   in either mode, and each incremental loop stays at or below its
@@ -82,6 +84,17 @@ LOOP_HASHES = {
     "tgff-160-0": 92_975,
 }
 
+# label -> Eqn3Tracker.admits calls in one solve_loop, measured and the
+# same in both solver modes; an upper bound, so later work may only
+# lower it.
+SCHEDULE_ADMITS = {
+    "tgff-48-0": 6_065,
+    "tgff-64-0": 10_937,
+    "tgff-96-0": 16_085,
+    "tgff-128-0": 27_589,
+    "tgff-160-0": 54_403,
+}
+
 # label -> (ops, sample, strategy, verified iterations, resumed iterations)
 DELTA_CASES = {
     "tgff-48-0": (48, 0, "diverged", 45, 4),
@@ -128,13 +141,26 @@ def count_resource_hashes(patch: pytest.MonkeyPatch) -> Counter:
     return calls
 
 
+def count_schedule_admits(patch: pytest.MonkeyPatch) -> Counter:
+    """Count ``Eqn3Tracker.admits`` calls from here on."""
+    calls: Counter = Counter()
+    admits = scheduling.Eqn3Tracker.admits
+
+    def counting_admits(tracker, *args):
+        calls["admits"] += 1
+        return admits(tracker, *args)
+
+    patch.setattr(scheduling.Eqn3Tracker, "admits", counting_admits)
+    return calls
+
+
 @dataclass
 class Solved:
     label: str
     datapath: Datapath
     state: SolverState
-    warm_prefix_reuses: int
     hashes: Counter
+    admits: int
 
 
 @pytest.fixture(scope="module", params=sorted(SOLVER_CASES))
@@ -143,25 +169,15 @@ def solved(request) -> Solved:
     label = request.param
     num_ops, relaxation = SOLVER_CASES[label][:2]
     problem = build_case(num_ops, 0, relaxation).problem
-    warm_prefix = scheduling._warm_prefix
-    reuses = 0
-
-    def counting_warm_prefix(*args, **kwargs):
-        nonlocal reuses
-        reusable = warm_prefix(*args, **kwargs)
-        if reusable is not None and reusable[0]:
-            reuses += 1
-        return reusable
-
     state = SolverState(
         problem, DPAllocOptions(),
         incremental=resolve_solver_mode() == "incremental",
     )
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(scheduling, "_warm_prefix", counting_warm_prefix)
         hashes = count_resource_hashes(patch)
+        admits = count_schedule_admits(patch)
         datapath = solve_loop(state)
-    return Solved(label, datapath, state, reuses, hashes)
+    return Solved(label, datapath, state, hashes, admits["admits"])
 
 
 class TestSolverGoldens:
@@ -173,6 +189,9 @@ class TestSolverGoldens:
 
     def test_bindselect_hashes_no_resource_type(self, solved):
         assert solved.hashes["bind"] == 0
+
+    def test_schedule_admits_stay_at_measured_count(self, solved):
+        assert solved.admits <= SCHEDULE_ADMITS[solved.label]
 
 
 def test_bindselect_hashes_no_resource_type_in_the_other_mode():
@@ -194,9 +213,6 @@ class TestReuseCounts:
         cache = solved.state.chain_cache
         assert cache is not None
         assert cache.hits > 0
-
-    def test_schedule_resumes_a_warm_prefix(self, solved):
-        assert solved.warm_prefix_reuses > 0
 
     def test_loop_hashes_stay_at_measured_count(self, solved):
         assert sum(solved.hashes.values()) <= LOOP_HASHES[solved.label]

@@ -223,7 +223,7 @@ def test_max_chain_is_actually_a_chain(data):
 def test_eqn3_schedule_never_shorter_than_eqn2(graph, n_units):
     """Eqn. 3 is at least as strict as Eqn. 2, so under identical
     constraints its schedules can never finish earlier."""
-    from repro.core.scheduling import list_schedule
+    from repro.core.scheduling import list_schedule_outcome
 
     problem = Problem(graph, latency_constraint=1_000_000)
     wcg = WordlengthCompatibilityGraph(
@@ -231,8 +231,8 @@ def test_eqn3_schedule_never_shorter_than_eqn2(graph, n_units):
     )
     latencies = wcg.upper_bound_latencies()
     constraints = {"mul": n_units, "add": n_units}
-    s3 = list_schedule(graph, wcg, latencies, constraints, constraint="eqn3")
-    s2 = list_schedule(graph, wcg, latencies, constraints, constraint="eqn2")
+    s3 = list_schedule_outcome(graph, wcg, latencies, constraints, constraint="eqn3")
+    s2 = list_schedule_outcome(graph, wcg, latencies, constraints, constraint="eqn2")
     makespan3 = max(s3[n] + latencies[n] for n in graph.names)
     makespan2 = max(s2[n] + latencies[n] for n in graph.names)
     assert makespan3 >= makespan2

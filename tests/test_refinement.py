@@ -232,7 +232,7 @@ class TestBoundPathEngine:
         )
         for _ in range(12):
             bounds = wcg.upper_bound_latencies()
-            schedule = list_schedule_outcome(graph, wcg, bounds).starts
+            schedule = list_schedule_outcome(graph, wcg, bounds)
             binding = bindselect(
                 wcg, schedule, bounds, problem.area_model
             )

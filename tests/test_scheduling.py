@@ -14,7 +14,7 @@ from repro.core.scheduling import (
     Eqn2Tracker,
     Eqn3Tracker,
     critical_path_priorities,
-    list_schedule,
+    list_schedule_outcome,
     serial_schedule,
 )
 from repro.core.wcg import WordlengthCompatibilityGraph
@@ -147,13 +147,13 @@ class TestListSchedule:
         g = graph_two_serial_muls()
         wcg = fig2_wcg(refined=False)
         lat = {"o1": 5, "o2": 5}
-        assert list_schedule(g, wcg, lat) == {"o1": 0, "o2": 5}
+        assert list_schedule_outcome(g, wcg, lat) == {"o1": 0, "o2": 5}
 
     def test_one_multiplier_serialises_parallel_ops(self):
         g = graph_two_parallel_muls()
         wcg = fig2_wcg(refined=False)
         lat = {"o1": 5, "o2": 5}
-        schedule = list_schedule(g, wcg, lat, {"mul": 1})
+        schedule = list_schedule_outcome(g, wcg, lat, {"mul": 1})
         starts = sorted(schedule.values())
         assert starts[1] - starts[0] >= 5  # no overlap
 
@@ -161,7 +161,7 @@ class TestListSchedule:
         g = graph_two_parallel_muls()
         wcg = fig2_wcg(refined=False)
         lat = {"o1": 5, "o2": 5}
-        schedule = list_schedule(g, wcg, lat, {"mul": 2})
+        schedule = list_schedule_outcome(g, wcg, lat, {"mul": 2})
         assert schedule == {"o1": 0, "o2": 0}
 
     def test_infeasible_constraint_detected(self):
@@ -169,20 +169,20 @@ class TestListSchedule:
         wcg = fig2_wcg(refined=True)
         lat = {"o1": 2, "o2": 5}
         with pytest.raises(InfeasibleError):
-            list_schedule(g, wcg, lat, {"mul": 1})
+            list_schedule_outcome(g, wcg, lat, {"mul": 1})
 
     def test_dependencies_respected_under_constraints(self):
         g = graph_two_serial_muls()
         wcg = fig2_wcg(refined=False)
         lat = {"o1": 5, "o2": 5}
-        schedule = list_schedule(g, wcg, lat, {"mul": 1})
+        schedule = list_schedule_outcome(g, wcg, lat, {"mul": 1})
         assert schedule["o2"] >= schedule["o1"] + 5
 
     def test_eqn2_variant_runs(self):
         g = graph_two_parallel_muls()
         wcg = fig2_wcg(refined=False)
         lat = {"o1": 5, "o2": 5}
-        schedule = list_schedule(g, wcg, lat, {"mul": 1}, constraint="eqn2")
+        schedule = list_schedule_outcome(g, wcg, lat, {"mul": 1}, constraint="eqn2")
         starts = sorted(schedule.values())
         assert starts[1] - starts[0] >= 5
 
@@ -190,7 +190,7 @@ class TestListSchedule:
         g = graph_two_parallel_muls()
         wcg = fig2_wcg(refined=False)
         with pytest.raises(ValueError, match="unknown constraint"):
-            list_schedule(g, wcg, {"o1": 5, "o2": 5}, {"mul": 1}, constraint="eqn9")
+            list_schedule_outcome(g, wcg, {"o1": 5, "o2": 5}, {"mul": 1}, constraint="eqn9")
 
 
 class TestSerialFallback:
@@ -253,7 +253,7 @@ class TestGreedyWedgeFallback:
         # Greedy places o1 (share 1/2 on both members) and o2 at step 0,
         # pushing S1's peak to 1.5; o3 then needs S2 at peak >= 1, and
         # 1.5 + 1 > N = 2 wedges the greedy pass permanently.
-        schedule = list_schedule(g, wcg, latencies, {"mul": 2})
+        schedule = list_schedule_outcome(g, wcg, latencies, {"mul": 2})
         intervals = sorted(
             (schedule[n], schedule[n] + latencies[n]) for n in g.names
         )
@@ -265,7 +265,7 @@ class TestGreedyWedgeFallback:
         latencies = {n: wcg.upper_bound_latency(n) for n in g.names}
         # |S_mul| = 2 is a hard lower bound on implementable unit counts.
         with pytest.raises(InfeasibleError):
-            list_schedule(g, wcg, latencies, {"mul": 1})
+            list_schedule_outcome(g, wcg, latencies, {"mul": 1})
 
 
 class TestManyOpsStress:
@@ -277,7 +277,7 @@ class TestManyOpsStress:
             ops.append(op)
         wcg = WordlengthCompatibilityGraph(ops, [SMALL, BIG], LAT)
         lat = {f"m{i}": 5 for i in range(10)}
-        schedule = list_schedule(g, wcg, lat, {"mul": 1})
+        schedule = list_schedule_outcome(g, wcg, lat, {"mul": 1})
         intervals = sorted((schedule[n], schedule[n] + 5) for n in schedule)
         for (s1, f1), (s2, f2) in zip(intervals, intervals[1:]):
             assert f1 <= s2

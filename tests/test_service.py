@@ -915,12 +915,14 @@ class TestServeShutdown:
     def test_sigterm_exits_zero_and_kills_in_flight_solves(self, tmp_path):
         """Supervisors (and a fleet's ``WorkerPool``) stop ``repro
         serve`` with SIGTERM; it must exit 0 and take a solve still in
-        flight down with it instead of orphaning the solve process."""
+        flight down with it instead of orphaning the solve process,
+        and without logging the cancelled request's traceback."""
         import signal
         import subprocess
         import sys
 
         pid_file = tmp_path / "solve.pid"
+        stderr_file = tmp_path / "serve.stderr"
         port = free_port()
         script = (
             "import os, sys, time\n"
@@ -938,11 +940,11 @@ class TestServeShutdown:
         env["PYTHONPATH"] = "src" + (
             os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
         )
-        proc = subprocess.Popen(
-            [sys.executable, "-c", script],
-            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
-            text=True, env=env,
-        )
+        with open(stderr_file, "w") as stderr:
+            proc = subprocess.Popen(
+                [sys.executable, "-c", script],
+                stdout=subprocess.PIPE, stderr=stderr, text=True, env=env,
+            )
         children = []
         try:
             assert "listening on" in proc.stdout.readline()
@@ -967,6 +969,7 @@ class TestServeShutdown:
             assert proc.wait(timeout=10) == 0
             alive = [pid for pid in children if _running(int(pid))]
             assert not alive, f"solves orphaned after SIGTERM: {alive}"
+            assert "Traceback" not in stderr_file.read_text()
         finally:
             if proc.poll() is None:
                 proc.kill()

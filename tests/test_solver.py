@@ -24,7 +24,7 @@ from repro.core.solver import (
     resolve_solver_mode,
 )
 from repro.core.wcg import WordlengthCompatibilityGraph
-from repro.core.scheduling import list_schedule
+from repro.core.scheduling import list_schedule_outcome
 from repro.experiments import build_case
 from repro.gen.workloads import fir_filter, motivational_example
 from repro.io.json_io import datapath_to_dict
@@ -208,54 +208,6 @@ class TestIterationTrace:
 
 
 class TestIncrementalSchedulingPrimitives:
-    def test_warm_start_matches_full_schedule(self, latency_model):
-        """Refine one op, warm-start the list schedule, compare to scratch."""
-        from repro.core.scheduling import (
-            ScheduleWarmStart,
-            critical_path_priorities,
-            list_schedule_outcome,
-        )
-
-        problem = build_case(24, 0, 0.2).problem
-        graph = problem.graph
-        wcg = WordlengthCompatibilityGraph(
-            graph.operations, problem.resource_set(), problem.latency_model
-        )
-        bounds = wcg.upper_bound_latencies()
-        constraints = {"mul": 2, "add": 2}
-        first = list_schedule_outcome(
-            graph, wcg, bounds, resource_constraints=constraints
-        )
-        assert first.greedy
-
-        refinable = sorted(n for n in graph.names if wcg.can_refine(n))
-        assert refinable
-        victim = refinable[len(refinable) // 2]
-        wcg.refine(victim)
-        new_bounds = dict(bounds)
-        new_bounds[victim] = wcg.upper_bound_latency(victim)
-
-        old_pri = critical_path_priorities(graph, bounds)
-        new_pri = critical_path_priorities(graph, new_bounds)
-        affected = {victim} | {
-            n for n in graph.names if old_pri[n] != new_pri[n]
-        }
-        warm = ScheduleWarmStart(
-            prev_starts=first.starts,
-            prev_latencies=bounds,
-            affected=frozenset(affected),
-            prev_first_rejects=first.first_rejects,
-        )
-        warmed = list_schedule_outcome(
-            graph, wcg, new_bounds,
-            resource_constraints=constraints, warm=warm,
-        )
-        cold = list_schedule_outcome(
-            graph, wcg, new_bounds, resource_constraints=constraints
-        )
-        assert warmed.starts == cold.starts
-        assert warmed.first_rejects == cold.first_rejects
-
     def test_kind_cover_decomposition_matches_union(self):
         problem = build_case(18, 1, 0.1).problem
         wcg = WordlengthCompatibilityGraph(
@@ -296,7 +248,7 @@ class TestIncrementalSchedulingPrimitives:
             problem.latency_model,
         )
         bounds = wcg.upper_bound_latencies()
-        starts = list_schedule(problem.graph, wcg, bounds)
+        starts = list_schedule_outcome(problem.graph, wcg, bounds)
         assert starts == problem.graph.asap(bounds)
 
 
