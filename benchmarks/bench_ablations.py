@@ -12,7 +12,7 @@ from dataclasses import asdict
 from conftest import samples
 
 from repro.analysis.metrics import mean, percent_increase
-from repro.core.dpalloc import DPAllocOptions
+from repro.core.dpalloc import DPAllocOptions, allocate
 from repro.engine import AllocationRequest, Engine
 from repro.experiments import ablations, build_case
 from repro.experiments.common import require_ok

@@ -68,11 +68,12 @@ def critical_path_priorities(
 class Eqn3Tracker:
     """Incremental evaluation of the Eqn. 3 resource bound (scaled integers).
 
-    The bound is *time-monotone*: placing an operation at a fresh control
-    step (where all current loads are zero) raises each of its members'
-    peaks to at least the op's share.  Hence if an op fails the check
-    even at a fresh step it can never be scheduled -- the stuck-state
-    test used by the list scheduler.
+    The bound is *time-monotone*: placing an operation raises each of
+    its members' peaks to at least the op's share, and peaks never fall.
+    So an op refused at a fresh control step (where all loads are zero)
+    is refused at every later step too; the list scheduler needs no
+    separate test for that, because it detects a wedge by running out
+    of events with ops still unplaced.
 
     **Shared-denominator invariant.**  Every quantity in Eqn. 3 is a sum
     of equal shares ``1/|S(o)|``, so with ``D = lcm(|S(o)|)`` over all
@@ -191,18 +192,6 @@ class Eqn3Tracker:
             return True
         return self._hypothetical_scaled(name, start, duration) <= limit
 
-    def ever_admittable(self, name: str, duration: int) -> bool:
-        """Fresh-step feasibility: if this fails, the op can never be placed."""
-        limit = self._limit_scaled.get(self._kind_of_op[name])
-        if limit is None:
-            return True
-        share = self._share_scaled[name]
-        total = self._kind_peak_sum[self._kind_of_op[name]]
-        for m in self._member_ids_of[name]:
-            if share > self._peaks[m]:
-                total += share - self._peaks[m]
-        return total <= limit
-
     def place(self, name: str, start: int, duration: int) -> None:
         """Commit the placement of an operation."""
         share = self._share_scaled[name]
@@ -256,11 +245,6 @@ class Eqn2Tracker:
         return all(
             loads.get(t, 0) + 1 <= limit for t in range(start, start + duration)
         )
-
-    def ever_admittable(self, name: str, duration: int) -> bool:
-        kind = self._kind_of[name]
-        limit = self._constraints.get(kind)
-        return limit is None or limit >= 1
 
     def place(self, name: str, start: int, duration: int) -> None:
         kind = self._kind_of[name]

@@ -442,8 +442,8 @@ class BindPass(Pass):
 
     name = "bind"
     reads = frozenset({
-        "chain_cache", "names", "options", "problem", "schedule",
-        "upper_bounds", "wcg",
+        "chain_cache", "options", "problem", "schedule", "upper_bounds",
+        "wcg",
     })
     writes = frozenset({"binding", "chain_cache"})
 
@@ -451,7 +451,9 @@ class BindPass(Pass):
         assert state.schedule is not None and state.upper_bounds is not None
         cache = state.chain_cache
         if cache is not None:
-            cache.refresh(state.schedule, state.upper_bounds, state.names)
+            cache.refresh(
+                state.schedule, state.upper_bounds, state.wcg.op_names
+            )
         state.binding = bindselect(
             state.wcg,
             state.schedule,

@@ -16,6 +16,7 @@ model is pluggable via :class:`TableAreaModel` for other technologies.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Sequence, Tuple
 
@@ -38,10 +39,27 @@ class AreaModel:
 
 @dataclass(frozen=True)
 class SonicAreaModel(AreaModel):
-    """Reconstructed area model of ref. [5]: ``n*m`` multiplier, ``n`` adder."""
+    """Reconstructed area model of ref. [5]: ``n*m`` multiplier, ``n`` adder.
+
+    Raises:
+        ValueError: a unit is not a finite, positive int or float.
+    """
 
     mul_unit: float = 1.0
     add_unit: float = 1.0
+
+    def __post_init__(self) -> None:
+        for name in ("mul_unit", "add_unit"):
+            unit = getattr(self, name)
+            if (
+                isinstance(unit, bool)
+                or not isinstance(unit, (int, float))
+                or not 0 < unit < math.inf
+            ):
+                raise ValueError(
+                    f"SonicAreaModel.{name} must be a finite positive number, "
+                    f"got {unit!r}"
+                )
 
     def area(self, resource: ResourceType) -> float:
         if resource.kind == "mul":

@@ -3,11 +3,14 @@
 The shipped kernels in ``repro.core`` are array/integer-shaped rewrites
 that must make exactly the same decisions as the straightforward
 formulations below.  The equivalence tests (``test_goldens.py``,
-``test_scheduling.py``) drive both on identical inputs and require
-exact equality:
+``test_binding.py``, ``test_scheduling.py``) drive both on identical
+inputs and require exact equality:
 
 * :func:`reference_max_chain` -- the quadratic max-chain DP behind
   :func:`repro.core.binding.max_chain` (O(k log k) retire pointer);
+* :func:`reference_bindselect` -- the eager greedy that scores every
+  resource every round, behind the lazy heap of
+  :func:`repro.core.binding.bindselect`;
 * :class:`ReferenceH` -- ``H`` as a dict of sets, behind the
   :class:`repro.core.wcg.WordlengthCompatibilityGraph` id bitsets and
   their decoding accessors;
@@ -28,7 +31,7 @@ import heapq
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
-from repro.core.binding import Binding
+from repro.core.binding import Binding, BoundClique
 from repro.core.problem import InfeasibleError
 from repro.core.wcg import WordlengthCompatibilityGraph
 from repro.ir.ops import Operation
@@ -69,6 +72,85 @@ def reference_max_chain(
         cursor = best_pred[cursor]
     chain.reverse()
     return chain
+
+
+def reference_bindselect(
+    wcg: WordlengthCompatibilityGraph,
+    schedule: Mapping[str, int],
+    latencies: Mapping[str, int],
+    area_model: AreaModel,
+    grow: bool = True,
+    shrink: bool = True,
+) -> Binding:
+    """Bindselect as a full scan: every resource scored every round.
+
+    Name-keyed and uncached.  Each round computes, for every resource
+    with uncovered candidates, its :func:`reference_max_chain` and picks
+    the greatest ``|chain| / cost`` (compared as cross-multiplied exact
+    integer ratios), ties to the smaller cost, then the first resource.
+    The clique then grows over each earlier selection whose union is
+    still a chain with a common covering resource, and with ``shrink``
+    each clique is finally implemented in its cheapest covering
+    resource, ties to the first in resource order.
+    """
+    area = {r: area_model.area(r) for r in wcg.resources}
+
+    def key(n: str) -> Tuple[int, str]:
+        return (schedule[n], n)
+
+    def cheapest(covering: Set[ResourceType]) -> ResourceType:
+        return min(covering, key=lambda r: (area[r], r))
+
+    def covering(ops: Sequence[str]) -> Set[ResourceType]:
+        return set.intersection(*(set(wcg.compatible_resources(n)) for n in ops))
+
+    uncovered = set(wcg.op_names)
+    selected: List[Tuple[ResourceType, List[str]]] = []
+    while uncovered:
+        best: Optional[Tuple[int, int, int, ResourceType, List[str]]] = None
+        for resource in wcg.resources:
+            candidates = [n for n in wcg.ops_for_resource(resource) if n in uncovered]
+            if not candidates:
+                continue
+            chain = reference_max_chain(candidates, schedule, latencies)
+            num, den = area[resource].as_integer_ratio()
+            if best is None:
+                best = (len(chain), num, den, resource, chain)
+                continue
+            b_len, b_num, b_den = best[0], best[1], best[2]
+            lhs = len(chain) * den * b_num  # ratio = len * den / num
+            rhs = b_len * b_den * num
+            if lhs > rhs or (lhs == rhs and num * b_den < b_num * den):
+                best = (len(chain), num, den, resource, chain)
+        if best is None:
+            raise RuntimeError(
+                f"operations without any compatible resource: {sorted(uncovered)}"
+            )
+        _, _, _, resource, clique = best
+        uncovered -= set(clique)
+        if grow:
+            survivors = []
+            for prev_resource, prev_ops in selected:
+                union = sorted(clique + prev_ops, key=key)
+                common = covering(union)
+                if common and all(
+                    schedule[a] + latencies[a] <= schedule[b]
+                    for a, b in zip(union, union[1:])
+                ):
+                    clique = union
+                    resource = cheapest(common)
+                else:
+                    survivors.append((prev_resource, prev_ops))
+            selected = survivors
+        selected.append((resource, sorted(clique, key=key)))
+    if shrink:
+        selected = [(cheapest(covering(ops)), ops) for _, ops in selected]
+    return Binding(tuple(
+        BoundClique(resource, tuple(ops))
+        for resource, ops in sorted(
+            selected, key=lambda item: (schedule[item[1][0]], item[1])
+        )
+    ))
 
 
 class ReferenceH:
@@ -219,21 +301,6 @@ class Eqn3TrackerReference:
         if limit is None:
             return True
         return self._hypothetical_lhs(name, start, duration) <= limit
-
-    def ever_admittable(self, name: str, duration: int) -> bool:
-        """Fresh-step feasibility: if this fails, the op can never be placed."""
-        kind = next(iter(self._members_of[name])).kind
-        limit = self._limit(kind)
-        if limit is None:
-            return True
-        share = self._share[name]
-        total = Fraction(0)
-        for s in self._members_by_kind.get(kind, []):
-            peak = self._peak[s]
-            if s in self._members_of[name]:
-                peak = max(peak, share)
-            total += peak
-        return total <= limit
 
     def place(self, name: str, start: int, duration: int) -> None:
         """Commit the placement of an operation."""

@@ -1,5 +1,7 @@
 """Tests for area models (reconstructed model of ref. [5])."""
 
+import math
+
 import pytest
 
 from repro.resources.area import (
@@ -29,6 +31,19 @@ class TestSonicAreaModel:
 
     def test_callable_shorthand(self):
         assert SonicAreaModel()(ResourceType("add", (4,))) == 4.0
+
+    @pytest.mark.parametrize(
+        "unit", (-1.0, 0.0, 0, math.nan, math.inf, True, "abc", None), ids=repr
+    )
+    def test_degenerate_unit_rejected(self, unit):
+        with pytest.raises(ValueError, match="mul_unit"):
+            SonicAreaModel(mul_unit=unit)
+        with pytest.raises(ValueError, match="add_unit"):
+            SonicAreaModel(add_unit=unit)
+
+    def test_int_units_accepted(self):
+        model = SonicAreaModel(mul_unit=2, add_unit=3)
+        assert model.area(ResourceType("add", (4,))) == 12
 
 
 class TestTableAreaModel:

@@ -1,10 +1,14 @@
 """Tests for Algorithm Bindselect and its chain machinery."""
 
 import itertools
+import math
+import random
+from collections import Counter
 
 import pytest
 
 from repro.core.binding import (
+    BindIndex,
     Binding,
     BoundClique,
     ChainCache,
@@ -13,62 +17,54 @@ from repro.core.binding import (
 )
 from repro.core.wcg import WordlengthCompatibilityGraph
 from repro.ir.ops import Operation
-from repro.resources.area import SonicAreaModel
+from repro.resources.area import AreaModel, SonicAreaModel, TableAreaModel
 from repro.resources.latency import SonicLatencyModel
 from repro.resources.types import ResourceType
+from tests.oracles import reference_bindselect
 
 LAT = SonicLatencyModel()
 AREA = SonicAreaModel()
 
 
-def brute_force_max_chain(candidates, schedule, latencies):
-    best = 0
+def brute_force_max_chain(candidates, start, finish):
     for k in range(len(candidates), 0, -1):
         for combo in itertools.combinations(candidates, k):
-            ordered = sorted(combo, key=lambda n: schedule[n])
-            if all(
-                schedule[a] + latencies[a] <= schedule[b]
-                for a, b in zip(ordered, ordered[1:])
-            ):
+            ordered = sorted(combo, key=start.__getitem__)
+            if all(finish[a] <= start[b] for a, b in zip(ordered, ordered[1:])):
                 return k
-    return best
+    return 0
 
 
 class TestMaxChain:
+    """The kernel on ascending op ids with id-indexed start/finish lists."""
+
     def test_empty(self):
-        assert max_chain([], {}, {}) == []
+        assert max_chain([], [], []) == []
 
     def test_single(self):
-        assert max_chain(["a"], {"a": 0}, {"a": 2}) == ["a"]
+        assert max_chain([0], [0], [2]) == [0]
 
     def test_sequential_ops_form_chain(self):
-        schedule = {"a": 0, "b": 2, "c": 4}
-        latencies = {"a": 2, "b": 2, "c": 2}
-        assert max_chain(["a", "b", "c"], schedule, latencies) == ["a", "b", "c"]
+        assert max_chain([0, 1, 2], [0, 2, 4], [2, 4, 6]) == [0, 1, 2]
 
     def test_overlapping_ops_break_chain(self):
-        schedule = {"a": 0, "b": 1, "c": 4}
-        latencies = {"a": 2, "b": 2, "c": 2}
-        chain = max_chain(["a", "b", "c"], schedule, latencies)
+        chain = max_chain([0, 1, 2], [0, 1, 4], [2, 3, 6])
         assert len(chain) == 2
 
     def test_matches_brute_force_on_random_intervals(self):
-        import random
-
         rng = random.Random(42)
         for trial in range(25):
-            names = [f"o{i}" for i in range(7)]
-            schedule = {n: rng.randint(0, 12) for n in names}
-            latencies = {n: rng.randint(1, 4) for n in names}
-            got = len(max_chain(names, schedule, latencies))
-            want = brute_force_max_chain(names, schedule, latencies)
+            start = [rng.randint(0, 12) for _ in range(7)]
+            finish = [s + rng.randint(1, 4) for s in start]
+            ids = list(range(7))
+            got = len(max_chain(ids, start, finish))
+            want = brute_force_max_chain(ids, start, finish)
             assert got == want, f"trial {trial}: {got} != {want}"
 
     def test_deterministic(self):
-        schedule = {"a": 0, "b": 0, "c": 2}
-        latencies = {n: 2 for n in schedule}
-        runs = {tuple(max_chain(list(schedule), schedule, latencies)) for _ in range(5)}
-        assert len(runs) == 1
+        start, finish = [0, 0, 2], [2, 2, 4]
+        runs = {tuple(max_chain([0, 1, 2], start, finish)) for _ in range(5)}
+        assert runs == {(0, 2)}  # the start tie goes to the lower id
 
 
 def make_wcg(ops, resources):
@@ -217,14 +213,28 @@ class TestBindingContainer:
         assert lat == {"a": 2, "b": 2, "c": 2}
 
 
+class TestBindIndex:
+    @pytest.mark.parametrize("bad", (0.0, -2.0, math.nan, math.inf), ids=repr)
+    def test_degenerate_area_rejected_naming_the_resource(self, bad):
+        class Degenerate(AreaModel):
+            def area(self, resource):
+                return bad if resource == BIG else 64.0
+
+        wcg = make_wcg([Operation("m0", "mul", (8, 8))], [SMALL, BIG])
+        with pytest.raises(ValueError, match=f"area of {BIG} must be finite"):
+            BindIndex(wcg, Degenerate())
+
+
 class TestChainCache:
     def setup_method(self):
         self.schedule = {"a": 0, "b": 2, "c": 4, "d": 1}
         self.latencies = {"a": 2, "b": 2, "c": 2, "d": 2}
-        self.names = ("a", "b", "c", "d")
+        self.names = ("a", "b", "c", "d")  # op ids 0-3
         self.wcg = make_wcg(
             [Operation(n, "mul", (8, 8)) for n in self.names], [SMALL, BIG]
         )
+        self.start = [0, 2, 4, 1]
+        self.finish = [2, 4, 6, 3]
 
     def make_cache(self):
         cache = ChainCache()
@@ -232,48 +242,46 @@ class TestChainCache:
         cache.refresh(self.schedule, self.latencies, self.names)
         return cache
 
-    def lookup(self, cache, resource, candidates, schedule=None):
-        mask = sum(1 << self.wcg.op_id[n] for n in candidates)
+    def lookup(self, cache, resource, candidates, start=None):
+        mask = sum(1 << op for op in candidates)
         return cache.chain_for_mask(
-            self.wcg.resource_id[resource], mask, schedule or self.schedule,
-            self.latencies,
+            self.wcg.resource_id[resource], mask, start or self.start,
+            self.finish,
         )
 
     def test_miss_then_hit_returns_same_chain(self):
         cache = self.make_cache()
-        first = self.lookup(cache, SMALL, ["a", "b", "c"])
-        second = self.lookup(cache, SMALL, ["a", "b", "c"])
-        assert first == second == max_chain(
-            ["a", "b", "c"], self.schedule, self.latencies
-        )
+        first = self.lookup(cache, SMALL, [0, 1, 2])
+        second = self.lookup(cache, SMALL, [0, 1, 2])
+        assert first == second == max_chain([0, 1, 2], self.start, self.finish)
         assert (cache.hits, cache.misses) == (1, 1)
 
     def test_cached_chain_is_a_private_copy(self):
         cache = self.make_cache()
-        first = self.lookup(cache, SMALL, ["a", "b"])
-        first.append("junk")
-        assert self.lookup(cache, SMALL, ["a", "b"]) == ["a", "b"]
+        first = self.lookup(cache, SMALL, [0, 1])
+        first.append(99)
+        assert self.lookup(cache, SMALL, [0, 1]) == [0, 1]
 
     def test_different_candidates_are_distinct_keys(self):
         cache = self.make_cache()
-        self.lookup(cache, SMALL, ["a", "b", "c"])
-        narrowed = self.lookup(cache, SMALL, ["b", "c"])
-        assert narrowed == ["b", "c"]
+        self.lookup(cache, SMALL, [0, 1, 2])
+        narrowed = self.lookup(cache, SMALL, [1, 2])
+        assert narrowed == [1, 2]
         assert cache.misses == 2
 
     def test_refresh_evicts_only_touching_entries(self):
         cache = self.make_cache()
-        self.lookup(cache, SMALL, ["a", "b"])
-        self.lookup(cache, BIG, ["c", "d"])
+        self.lookup(cache, SMALL, [0, 1])
+        self.lookup(cache, BIG, [2, 3])
         moved = dict(self.schedule, a=1)
         dropped = cache.refresh(moved, self.latencies, self.names)
         assert dropped == 1  # only the (a, b) entry contained 'a'
-        self.lookup(cache, BIG, ["c", "d"], schedule=moved)
+        self.lookup(cache, BIG, [2, 3], start=[1, 2, 4, 1])
         assert cache.hits == 1
 
     def test_latency_change_also_evicts(self):
         cache = self.make_cache()
-        self.lookup(cache, SMALL, ["a", "b"])
+        self.lookup(cache, SMALL, [0, 1])
         slower = dict(self.latencies, b=3)
         assert cache.refresh(self.schedule, slower, self.names) == 1
 
@@ -320,8 +328,6 @@ class TestExactGreedyRatio:
         assert float(self.C_WIDE) == self.C_WIDE  # the areas ARE exact
 
     def test_near_tie_resolved_by_exact_ratio(self):
-        from repro.resources.area import TableAreaModel
-
         ops = [
             Operation("o1", "mul", (8, 8)),
             Operation("o2", "mul", (8, 8)),
@@ -345,8 +351,6 @@ class TestExactGreedyRatio:
         assert binding.cliques[0].ops == ("o1", "o2", "o3")
 
     def test_near_tie_identical_with_and_without_cache(self):
-        from repro.resources.area import TableAreaModel
-
         ops = [
             Operation("o1", "mul", (8, 8)),
             Operation("o2", "mul", (8, 8)),
@@ -365,3 +369,83 @@ class TestExactGreedyRatio:
         cached = bindselect(wcg, schedule, lat, area, chain_cache=cache)
         plain = bindselect(wcg, schedule, lat, area)
         assert cached == plain
+
+
+class TestLazyGreedyMatchesEagerScan:
+    """The lazy heap picks what a full scan of every resource picks."""
+
+    COMBOS = ((True, True), (True, False), (False, True), (False, False))
+
+    def area_models(self, rng, resources):
+        near_tie = {
+            r.widths: (
+                TestExactGreedyRatio.C_CHEAP if j % 2 else TestExactGreedyRatio.C_WIDE
+            )
+            for j, r in enumerate(resources)
+        }
+        fractional = {
+            r.widths: rng.choice((0.1, 0.25, 1 / 3, 0.7, 1.5, 2.0, 2 / 3))
+            for r in resources
+        }
+        return {
+            "sonic": AREA,
+            "equal": TableAreaModel({"mul": lambda w: 3.0}),
+            "fractional-sonic": SonicAreaModel(mul_unit=0.37, add_unit=0.11),
+            "fractional-table": TableAreaModel({"mul": fractional.__getitem__}),
+            "near-tie": TableAreaModel({"mul": near_tie.__getitem__}),
+        }
+
+    def test_identical_bindings_on_random_instances(self):
+        rng = random.Random(2001)
+        seen: Counter = Counter()
+        for trial in range(500):
+            n_res = rng.randint(1, 7)
+            resources = [
+                ResourceType("mul", (8 + 2 * j, 8 + 2 * j)) for j in range(n_res)
+            ]
+            ops = [
+                Operation(f"o{i:02d}", "mul", (8, 8))
+                for i in range(rng.randint(1, 14))
+            ]
+            h = {
+                op.name: rng.sample(resources, rng.randint(1, n_res))
+                for op in ops
+            }
+            wcg = WordlengthCompatibilityGraph(ops, resources, LAT, h_edges=h)
+            models = self.area_models(rng, wcg.resources)
+            label = rng.choice(sorted(models))
+            area = models[label]
+            grow, shrink = self.COMBOS[trial % 4]
+            # A short horizon makes start times (and chain lengths) tie.
+            horizon = rng.randint(1, 8)
+            schedule = {op.name: rng.randint(0, horizon) for op in ops}
+            latencies = {op.name: rng.randint(1, 4) for op in ops}
+            cache = ChainCache()
+            for step in range(4):
+                if step:  # perturb: move or slow a few ops
+                    moved = rng.randint(1, min(3, len(ops)))
+                    for name in rng.sample(sorted(schedule), moved):
+                        if rng.random() < 0.5:
+                            schedule[name] = rng.randint(0, horizon)
+                        else:
+                            latencies[name] = rng.randint(1, 4)
+                cache.refresh(schedule, latencies, wcg.op_names)
+                want = reference_bindselect(
+                    wcg, schedule, latencies, area, grow, shrink
+                )
+                got = bindselect(
+                    wcg, schedule, latencies, area, grow, shrink,
+                    chain_cache=cache,
+                )
+                assert got == want, (trial, step, label, schedule, latencies)
+                if not step:
+                    assert bindselect(
+                        wcg, schedule, latencies, area, grow, shrink
+                    ) == want
+                seen[label] += 1
+                seen[grow, shrink] += 1
+            seen["hits"] += cache.hits
+        assert sum(seen[c] for c in self.COMBOS) >= 2000
+        assert all(seen[c] >= 500 for c in self.COMBOS)
+        assert all(seen[label] >= 200 for label in models)
+        assert seen["hits"] > 0

@@ -11,8 +11,12 @@
   of a warm ``lambda + 1`` deadline edit, whose envelope must also be
   canonical-byte identical to a cold solve of the edited problem.
 * **Reuse counts** (incremental mode only) -- the bind pass's chain
-  cache hits across iterations.  A bound, not an exact count, so the
-  greedy may evaluate fewer chains without breaking it.
+  cache hits across iterations, and its chain lookups (hits plus
+  misses) per solve loop, at or below their measured count.
+* **Bind work** -- ``max_chain`` runs per solve loop, counted where
+  ``ChainCache`` looks the kernel up, in each solver mode.  Bindselect
+  is lazy, so it evaluates only the chains whose bound reaches the top
+  of its heap; each count stays at or below its measured count.
 * **Schedule work** -- ``Eqn3Tracker.admits`` calls per solve loop.
   The list schedule keeps no state across iterations, so the count is
   the same in both modes; each stays at or below its measured count.
@@ -35,7 +39,7 @@ from dataclasses import dataclass
 
 import pytest
 
-from repro.core import refinement, scheduling, solver
+from repro.core import binding, refinement, scheduling, solver
 from repro.core.binding import BindIndex, Binding, BoundClique, max_chain
 from repro.core.delta import DeadlineEdit
 from repro.core.solution import Datapath
@@ -93,6 +97,26 @@ SCHEDULE_ADMITS = {
     "tgff-96-0": 16_085,
     "tgff-128-0": 27_589,
     "tgff-160-0": 54_403,
+}
+
+# label -> repro.core.binding.max_chain calls in one solve_loop per
+# solver mode, measured; an upper bound, so later work may only lower it.
+MAX_CHAIN_CALLS = {
+    "tgff-48-0": {"incremental": 2_332, "scratch": 4_950},
+    "tgff-64-0": {"incremental": 3_275, "scratch": 17_270},
+    "tgff-96-0": {"incremental": 4_522, "scratch": 6_660},
+    "tgff-128-0": {"incremental": 11_735, "scratch": 16_872},
+    "tgff-160-0": {"incremental": 13_476, "scratch": 54_604},
+}
+
+# label -> ChainCache lookups (hits plus misses) in one incremental
+# solve_loop, measured; an upper bound, so later work may only lower it.
+CHAIN_LOOKUPS = {
+    "tgff-48-0": 5_089,
+    "tgff-64-0": 17_519,
+    "tgff-96-0": 6_785,
+    "tgff-128-0": 17_041,
+    "tgff-160-0": 55_218,
 }
 
 # label -> (ops, sample, strategy, verified iterations, resumed iterations)
@@ -154,6 +178,19 @@ def count_schedule_admits(patch: pytest.MonkeyPatch) -> Counter:
     return calls
 
 
+def count_max_chain(patch: pytest.MonkeyPatch) -> Counter:
+    """Count ``max_chain`` runs where ``ChainCache`` looks the kernel up."""
+    calls: Counter = Counter()
+    kernel = binding.max_chain
+
+    def counting_max_chain(*args):
+        calls["max_chain"] += 1
+        return kernel(*args)
+
+    patch.setattr(binding, "max_chain", counting_max_chain)
+    return calls
+
+
 @dataclass
 class Solved:
     label: str
@@ -161,6 +198,7 @@ class Solved:
     state: SolverState
     hashes: Counter
     admits: int
+    max_chain_calls: int
 
 
 @pytest.fixture(scope="module", params=sorted(SOLVER_CASES))
@@ -176,8 +214,11 @@ def solved(request) -> Solved:
     with pytest.MonkeyPatch.context() as patch:
         hashes = count_resource_hashes(patch)
         admits = count_schedule_admits(patch)
+        chains = count_max_chain(patch)
         datapath = solve_loop(state)
-    return Solved(label, datapath, state, hashes, admits["admits"])
+    return Solved(
+        label, datapath, state, hashes, admits["admits"], chains["max_chain"]
+    )
 
 
 class TestSolverGoldens:
@@ -192,6 +233,10 @@ class TestSolverGoldens:
 
     def test_schedule_admits_stay_at_measured_count(self, solved):
         assert solved.admits <= SCHEDULE_ADMITS[solved.label]
+
+    def test_max_chain_calls_stay_at_measured_count(self, solved):
+        bound = MAX_CHAIN_CALLS[solved.label][resolve_solver_mode()]
+        assert solved.max_chain_calls <= bound
 
 
 def test_bindselect_hashes_no_resource_type_in_the_other_mode():
@@ -213,6 +258,11 @@ class TestReuseCounts:
         cache = solved.state.chain_cache
         assert cache is not None
         assert cache.hits > 0
+
+    def test_chain_lookups_stay_at_measured_count(self, solved):
+        cache = solved.state.chain_cache
+        assert cache is not None
+        assert cache.hits + cache.misses <= CHAIN_LOOKUPS[solved.label]
 
     def test_loop_hashes_stay_at_measured_count(self, solved):
         assert sum(solved.hashes.values()) <= LOOP_HASHES[solved.label]
@@ -255,7 +305,12 @@ class TestOracleAgreement:
             schedule = {n: rng.randint(0, horizon) for n in names}
             latencies = {n: rng.randint(1, 4) for n in names}
             tied += len(set(schedule.values())) < len(names)
-            assert max_chain(names, schedule, latencies) == reference_max_chain(
+            # The kernel runs on ids in sorted-name order.
+            op_names = sorted(names)
+            start = [schedule[n] for n in op_names]
+            finish = [start[i] + latencies[n] for i, n in enumerate(op_names)]
+            chain = max_chain(list(range(len(op_names))), start, finish)
+            assert [op_names[i] for i in chain] == reference_max_chain(
                 names, schedule, latencies
             ), (schedule, latencies)
         assert tied > 200

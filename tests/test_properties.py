@@ -176,24 +176,25 @@ def test_refinement_strictly_shrinks_h(graph):
 
 @st.composite
 def interval_sets(draw):
+    """Id-indexed start and finish lists of 1-7 ops."""
     n = draw(st.integers(min_value=1, max_value=7))
-    schedule = {f"o{i}": draw(st.integers(0, 12)) for i in range(n)}
-    latencies = {f"o{i}": draw(st.integers(1, 4)) for i in range(n)}
-    return schedule, latencies
+    start = [draw(st.integers(0, 12)) for _ in range(n)]
+    finish = [s + draw(st.integers(1, 4)) for s in start]
+    return start, finish
 
 
 @common
 @given(interval_sets())
 def test_max_chain_matches_brute_force(data):
-    schedule, latencies = data
-    names = list(schedule)
-    got = len(max_chain(names, schedule, latencies))
+    start, finish = data
+    ids = list(range(len(start)))
+    got = len(max_chain(ids, start, finish))
     best = 0
-    for k in range(len(names), 0, -1):
-        for combo in itertools.combinations(names, k):
-            ordered = sorted(combo, key=lambda n: schedule[n])
+    for k in range(len(ids), 0, -1):
+        for combo in itertools.combinations(ids, k):
+            ordered = sorted(combo, key=start.__getitem__)
             if all(
-                schedule[a] + latencies[a] <= schedule[b]
+                finish[a] <= start[b]
                 for a, b in zip(ordered, ordered[1:])
             ):
                 best = k
@@ -206,10 +207,10 @@ def test_max_chain_matches_brute_force(data):
 @common
 @given(interval_sets())
 def test_max_chain_is_actually_a_chain(data):
-    schedule, latencies = data
-    chain = max_chain(list(schedule), schedule, latencies)
+    start, finish = data
+    chain = max_chain(list(range(len(start))), start, finish)
     for a, b in zip(chain, chain[1:]):
-        assert schedule[a] + latencies[a] <= schedule[b]
+        assert finish[a] <= start[b]
 
 
 # ----------------------------------------------------------------------

@@ -95,7 +95,6 @@ class TestEqn3Clues:
         assert len(tracker.scheduling_set) == 2
         tracker.place("o1", 0, 2)
         assert not tracker.admits("o2", 10, 5)  # serialised but still 2 units
-        assert not tracker.ever_admittable("o2", 5)
         # Eqn. 2 wrongly accepts the same serialised placement.
         eqn2 = Eqn2Tracker(wcg, {"mul": 1})
         eqn2.place("o1", 0, 2)
@@ -139,7 +138,6 @@ class TestEqn3Clues:
         wcg = fig2_wcg(refined=True)
         tracker = Eqn3Tracker(wcg, {})
         assert tracker.admits("o1", 0, 2)
-        assert tracker.ever_admittable("o2", 5)
 
 
 class TestListSchedule:
@@ -287,7 +285,7 @@ class TestScaledIntegerTrackerEquivalence:
     """The scaled-integer Eqn3Tracker vs the Fraction oracle.
 
     Both trackers are driven through identical query/placement streams;
-    exact agreement on ``admits``/``ever_admittable``/``lhs`` is the
+    exact agreement on ``admits``/``lhs`` is the
     shared-denominator invariant the byte-identity contract rests on.
     """
 
@@ -324,9 +322,6 @@ class TestScaledIntegerTrackerEquivalence:
                 assert fast.admits(name, start, duration) == ref.admits(
                     name, start, duration
                 ), (name, start, duration)
-                assert fast.ever_admittable(name, duration) == ref.ever_admittable(
-                    name, duration
-                )
                 if rng.random() < 0.7:
                     fast.place(name, start, duration)
                     ref.place(name, start, duration)

@@ -466,6 +466,21 @@ class TestHttpEndpoints:
                         )
                     assert excinfo.value.status == 404
 
+    def test_degenerate_area_model_is_http_400(self):
+        entry = allocate_request_payload(make_request())
+        entry.pop("fingerprint", None)  # advisory, and stale once edited
+        with ServerThread(engine=Engine(), max_concurrency=1) as st:
+            client = ServiceClient(st.url)
+            client.wait_healthy()
+            for unit in (-1.0, 0.0, "abc"):
+                entry["problem"]["area_model"]["params"]["mul_unit"] = unit
+                with pytest.raises(ServiceError) as excinfo:
+                    client._request("POST", "/v1/allocate", entry)
+                assert excinfo.value.status == 400, unit
+                assert "mul_unit must be a finite positive number" in str(
+                    excinfo.value
+                )
+
     def test_solver_failure_is_an_envelope_not_an_http_error(self):
         # An infeasible problem: tightest possible latency.
         graph = motivational_example()
