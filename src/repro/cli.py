@@ -37,7 +37,7 @@ Subcommands:
   priority classes with typed 429s (see ``docs/service.md``);
 * ``lint`` -- run **reprolint**, the AST-based checker for the repo's
   parity and concurrency contracts (rules RL001..RL005, inline
-  suppressions, CI baseline; see ``docs/static-analysis.md``).
+  suppressions with a reason; see ``docs/static-analysis.md``).
 
 All dispatch goes through the allocator registry
 (:mod:`repro.engine`): ``--method`` choices are discovered, never

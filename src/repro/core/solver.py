@@ -10,9 +10,9 @@ driven by :func:`run_pipeline`.  The state tracks *dirtiness* between
 iterations so each pass reuses whatever a refinement provably did not
 touch:
 
-* **bounds** -- deleting the ``H`` edges of one operation changes only
-  that operation's latency upper bound ``L_o``; every other bound is
-  reused.
+* **bounds** -- nothing is reused here: the WCG keeps every op's
+  latency upper bound ``L_o`` itself (``refine`` updates the refined
+  op's), and the pass copies them out in both modes.
 * **schedule** -- the scheduling set decomposes exactly into per-kind
   covers (``H`` edges never cross kinds), so only the refined
   operation's kind is re-covered.  The list schedule itself keeps no
@@ -80,7 +80,7 @@ SOLVER_MODES = ("incremental", "scratch")
 # * ``REUSE_MEMOS``: a pass that reads a memo structure must also
 #   refresh it; memos are never trusted stale across iterations.
 REUSE_CHANNELS: Dict[str, Tuple[str, ...]] = {
-    "wcg": ("pending_bound_ops", "dirty_cover_kinds"),
+    "wcg": ("dirty_cover_kinds",),
 }
 REUSE_MEMOS: Tuple[str, ...] = ("chain_cache",)
 
@@ -237,9 +237,8 @@ class SolverState:
         self.area = 0.0
         self.feasible = False
 
-        # Dirtiness between iterations.  ``pending_bound_ops`` feeds the
-        # bounds pass; cover kinds feed the per-kind scheduling-set cache.
-        self.pending_bound_ops: Set[str] = set()
+        # Dirtiness between iterations: cover kinds feed the per-kind
+        # scheduling-set cache.
         self.dirty_cover_kinds: Set[str] = set()
 
         # Cross-iteration reuse state of the bind pass (incremental
@@ -252,7 +251,6 @@ class SolverState:
     def record_refinement(self, step: RefinementStep) -> None:
         """Bookkeeping for one accepted refinement move."""
         self.refinements.append(step)
-        self.pending_bound_ops.add(step.operation)
         self.dirty_cover_kinds.add(self.kind_of[step.operation])
         self.trace.append(
             TraceEvent(
@@ -333,23 +331,16 @@ class Pass:
 class BoundsPass(Pass):
     """Latency upper bounds ``L_o`` (paper Table 1).
 
-    Incremental: an ``H``-edge deletion changes only the refined
-    operation's bound, so only the pending dirty ops are recomputed.
+    The WCG keeps every op's ``L_o`` current as ``H`` edges go, so both
+    modes copy the same values out.
     """
 
     name = "bounds"
-    reads = frozenset({
-        "incremental", "pending_bound_ops", "upper_bounds", "wcg",
-    })
-    writes = frozenset({"pending_bound_ops", "upper_bounds"})
+    reads = frozenset({"wcg"})
+    writes = frozenset({"upper_bounds"})
 
     def run(self, state: SolverState) -> None:
-        if state.incremental and state.upper_bounds is not None:
-            for name in sorted(state.pending_bound_ops):
-                state.upper_bounds[name] = state.wcg.upper_bound_latency(name)
-        else:
-            state.upper_bounds = state.wcg.upper_bound_latencies()
-        state.pending_bound_ops.clear()
+        state.upper_bounds = state.wcg.upper_bound_latencies()
 
 
 class SchedulePass(Pass):
@@ -502,14 +493,12 @@ class RefinePass(Pass):
     reads = frozenset({
         "area", "binding", "bound_latencies", "bumps", "constraints",
         "dirty_cover_kinds", "graph", "iteration", "iteration_cap",
-        "kind_of", "makespan", "ops_per_kind", "options",
-        "pending_bound_ops", "problem",
+        "kind_of", "makespan", "ops_per_kind", "options", "problem",
         "refinements", "schedule", "scheduling_set", "trace",
         "upper_bounds", "user_kinds", "wcg",
     })
     writes = frozenset({
-        "bumps", "dirty_cover_kinds", "pending_bound_ops",
-        "refinements", "trace", "wcg",
+        "bumps", "dirty_cover_kinds", "refinements", "trace", "wcg",
     })
 
     def run(self, state: SolverState) -> None:
@@ -668,8 +657,8 @@ class ReplayRecorder:
                 # none of which the refine/bump move just taken touched --
                 # so recomputing it here yields exactly the set the
                 # refine pass chose from.  ``state.upper_bounds`` still
-                # holds the pre-move values (the bounds pass refreshes
-                # the refined op only next iteration), so the finish
+                # holds the pre-move values (the bounds pass copies the
+                # WCG's new ones out only next iteration), so the finish
                 # times are the ones the ``W`` threshold actually used.
                 q_b = bound_critical_path(
                     state.graph,
@@ -712,7 +701,6 @@ def forward_state(
             state.refinements.append(
                 RefinementStep(target, deleted, record["pool"])
             )
-            state.pending_bound_ops.add(target)
             state.dirty_cover_kinds.add(state.kind_of[target])
         else:
             state.bumps[target] = state.bumps.get(target, 0) + 1

@@ -20,7 +20,8 @@ dense ids in sorted-name order (:attr:`op_names`) and resources in
 sorted order (:attr:`resources`), once per graph, and ``H`` is stored
 only as bitsets: :attr:`h_by_op` holds each op's compatible resource
 ids and :attr:`h_by_resource` each resource's compatible op ids.
-Refinement clears bits in both.  Ascending bit order is sorted order,
+Refinement clears bits in both and lowers the op's ``L_o``, which the
+graph keeps per op.  Ascending bit order is sorted order,
 so the accessors that return names or :class:`ResourceType` values
 decode without sorting; Bindselect, the Eqn. 3 tracker and the
 refinement selector read the bitsets directly.  The class also
@@ -102,6 +103,10 @@ class WordlengthCompatibilityGraph:
                 self.h_by_op[i] |= 1 << rid
                 self.h_by_resource[rid] |= 1 << i
         self._edges = sum(mask.bit_count() for mask in self.h_by_op)
+        # L_o of every op, kept current by refine(), the only H mutation.
+        self._upper: Dict[str, int] = {
+            name: self._slowest(name)[0] for name in self._ops
+        }
 
     # ------------------------------------------------------------------
     # basic accessors
@@ -152,7 +157,7 @@ class WordlengthCompatibilityGraph:
 
     def upper_bound_latency(self, name: str) -> int:
         """``L_o``: slowest compatible resource of operation ``name``."""
-        return self._slowest(name)[0]
+        return self._upper[name]
 
     def slowest_edges(self, name: str) -> int:
         """Resource-id bitset of the edges :meth:`refine` would delete."""
@@ -164,8 +169,8 @@ class WordlengthCompatibilityGraph:
         return min(c for c, members in self._latency_classes if edges & members)
 
     def upper_bound_latencies(self) -> Dict[str, int]:
-        """``L_o`` for every operation."""
-        return {name: self.upper_bound_latency(name) for name in self._ops}
+        """``L_o`` for every operation, as a fresh dict."""
+        return dict(self._upper)
 
     def can_refine(self, name: str) -> bool:
         """Whether deleting the slowest edges would leave the op coverable."""
@@ -188,6 +193,7 @@ class WordlengthCompatibilityGraph:
         for rid in deleted:
             self.h_by_resource[rid] ^= 1 << i
         self._edges -= len(deleted)
+        self._upper[name] = self._slowest(name)[0]
         return [self._resources[rid] for rid in deleted]
 
     # ------------------------------------------------------------------

@@ -13,7 +13,7 @@ RL001.  The solver passes' ``reads``/``writes`` contracts are checked
 dynamically, by ``tests/test_pass_contracts.py``.
 
 See ``docs/static-analysis.md`` for the rule catalogue and the
-suppression / baseline workflow.
+suppression workflow.
 """
 
 from . import lint

@@ -4,7 +4,7 @@ Public surface:
 
 * :func:`run_lint` / :class:`LintReport` -- programmatic runs;
 * :class:`LintRule` / :func:`register_rule` -- write project rules;
-* :class:`Finding`, baseline I/O, :func:`format_text`;
+* :class:`Finding`, :func:`format_text`;
 * :func:`main` -- the CLI (``repro lint`` / ``python -m
   repro.devtools.lint`` / ``tools/run_lint.py``).
 
@@ -20,10 +20,8 @@ from .framework import (
     all_rules,
     format_text,
     get_rule,
-    load_baseline,
     register_rule,
     run_lint,
-    save_baseline,
 )
 from . import rules  # noqa: F401  (registers RL001..RL005 on import)
 
@@ -35,10 +33,8 @@ __all__ = [
     "all_rules",
     "format_text",
     "get_rule",
-    "load_baseline",
     "main",
     "register_rule",
     "run_from_args",
     "run_lint",
-    "save_baseline",
 ]

@@ -5,7 +5,7 @@ Also invoked by ``tools/run_lint.py`` (the CI entry) and importable as
 :mod:`repro.cli` only registers a subparser and delegates.
 
 Exit codes: ``0`` no new findings, ``1`` new findings, ``2`` usage or
-input error (bad path, unknown rule, malformed baseline).
+input error (bad path, unknown rule for ``--explain``).
 """
 
 from __future__ import annotations
@@ -16,34 +16,23 @@ import sys
 from pathlib import Path
 from typing import List, Optional, Sequence
 
-from .framework import (
-    BASELINE_KIND,
-    LintReport,
-    all_rules,
-    format_text,
-    get_rule,
-    load_baseline,
-    run_lint,
-    save_baseline,
-)
+from .framework import LintReport, all_rules, format_text, get_rule, run_lint
 
 __all__ = ["add_lint_arguments", "main", "run_from_args"]
 
-DEFAULT_BASELINE = Path("tools") / "reprolint-baseline.json"
 DEFAULT_PATHS = [Path("src") / "repro"]
 
 
 def _repo_root() -> Path:
     """Root that the repo-relative defaults resolve against.
 
-    ``repro lint`` defaults (``src/repro``, the checked baseline) and
-    finding paths are repo-root relative; anchoring them at the cwd
-    would silently skip the baseline when invoked from a subdirectory
-    and scatter ``tools/`` directories on ``--write-baseline``.  Walk
-    up from the cwd for a ``pyproject.toml`` sitting beside
-    ``src/repro`` (any invocation from inside the checkout), fall back
-    to the checkout holding this file, and finally to the cwd itself
-    (installed package outside any checkout).
+    The default path (``src/repro``) and the reported finding paths are
+    repo-root relative, so the command lints the same tree and prints
+    the same paths from any subdirectory of the checkout.  Walk up from
+    the cwd for a ``pyproject.toml`` sitting beside ``src/repro`` (any
+    invocation from inside the checkout), fall back to the checkout
+    holding this file, and finally to the cwd itself (installed package
+    outside any checkout).
     """
     for base in (Path.cwd(), *Path.cwd().parents):
         if (
@@ -75,11 +64,6 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
              "annotations for new findings)",
     )
     parser.add_argument(
-        "--rules", default=None, metavar="CODES",
-        help="comma-separated rule codes to run (default: all; "
-             "RL000 suppression hygiene always runs)",
-    )
-    parser.add_argument(
         "--list-rules", action="store_true",
         help="list every rule with the contract it protects and exit",
     )
@@ -88,36 +72,8 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         help="print one rule's full documentation and exit",
     )
     parser.add_argument(
-        "--baseline", default=None, metavar="FILE",
-        help=f"baseline of grandfathered findings (default "
-             f"{DEFAULT_BASELINE} under the repo root, when it exists)",
-    )
-    parser.add_argument(
-        "--no-baseline", action="store_true",
-        help="ignore any baseline: report every finding as new",
-    )
-    parser.add_argument(
-        "--write-baseline", action="store_true",
-        help="write the current findings to the baseline file and exit 0 "
-             "(grandfathers them; new findings after that fail)",
-    )
-    parser.add_argument(
-        "--show-baselined", action="store_true",
-        help="include baselined findings in text output",
-    )
-    parser.add_argument(
         "--show-suppressed", action="store_true",
         help="include suppressed findings (and their reasons) in text output",
-    )
-    parser.add_argument(
-        "--fail-stale", action="store_true",
-        help="exit 1 when the baseline holds entries no finding matches "
-             "any more (CI keeps the baseline minimal)",
-    )
-    parser.add_argument(
-        "--prune-baseline", action="store_true",
-        help="rewrite the baseline file without its stale entries and "
-             "exit 0",
     )
 
 
@@ -179,29 +135,8 @@ def format_github(report: LintReport) -> str:
             f"title={_gh_escape_prop('reprolint ' + finding.rule)}"
             f"::{_gh_escape_data(finding.message)}"
         )
-    out.append(
-        f"reprolint: {report.files} files, {len(report.rules)} rules -- "
-        f"{len(report.new)} new, {len(report.baselined)} baselined, "
-        f"{len(report.suppressed)} suppressed"
-    )
+    out.append(report.summary())
     return "\n".join(out)
-
-
-def _cmd_prune_baseline(
-    baseline_path: Path,
-    baseline: "dict[str, dict[str, object]]",
-    report: LintReport,
-) -> int:
-    present = {f.fingerprint for f in report.findings}
-    kept = {fp: entry for fp, entry in baseline.items() if fp in present}
-    dropped = len(baseline) - len(kept)
-    payload = {"kind": BASELINE_KIND, "version": 1, "entries": kept}
-    baseline_path.write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    )
-    print(f"lint: pruned {dropped} stale baseline entr"
-          f"{'y' if dropped == 1 else 'ies'} ({len(kept)} remain)")
-    return 0
 
 
 def run_from_args(args: argparse.Namespace) -> int:
@@ -216,78 +151,19 @@ def run_from_args(args: argparse.Namespace) -> int:
         [Path(p) for p in args.paths]
         or [root / p for p in DEFAULT_PATHS]
     )
-    rule_codes = (
-        [code.strip().upper() for code in args.rules.split(",") if code.strip()]
-        if args.rules
-        else None
-    )
-
-    baseline_path: Optional[Path] = None
-    if not args.no_baseline:
-        if args.baseline is not None:
-            baseline_path = Path(args.baseline)
-        elif (root / DEFAULT_BASELINE).exists() or args.write_baseline:
-            baseline_path = root / DEFAULT_BASELINE
-
-    baseline = None
-    if baseline_path is not None and baseline_path.exists():
-        try:
-            baseline = load_baseline(baseline_path)
-        except (OSError, ValueError) as exc:
-            print(f"lint: bad baseline {baseline_path}: {exc}",
-                  file=sys.stderr)
-            return 2
-
     try:
-        report: LintReport = run_lint(
-            paths, rule_codes, baseline, display_root=root
-        )
+        report: LintReport = run_lint(paths, display_root=root)
     except FileNotFoundError as exc:
         print(f"lint: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"lint: {exc}", file=sys.stderr)
-        return 2
-
-    if args.write_baseline:
-        if baseline_path is None:
-            print("lint: --write-baseline conflicts with --no-baseline",
-                  file=sys.stderr)
-            return 2
-        baseline_path.parent.mkdir(parents=True, exist_ok=True)
-        count = save_baseline(baseline_path, report.findings)
-        print(f"lint: wrote {count} grandfathered findings to "
-              f"{baseline_path}")
-        return 0
-
-    if args.prune_baseline:
-        if baseline_path is None or baseline is None:
-            print("lint: --prune-baseline needs an existing baseline file",
-                  file=sys.stderr)
-            return 2
-        return _cmd_prune_baseline(baseline_path, baseline, report)
 
     if args.format == "json":
         print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
     elif args.format == "github":
         print(format_github(report))
     else:
-        print(format_text(
-            report,
-            show_baselined=args.show_baselined,
-            show_suppressed=args.show_suppressed,
-        ))
-
-    exit_code = report.exit_code
-    if args.fail_stale and report.stale_baseline:
-        stale = report.stale_baseline
-        for fingerprint in stale:
-            print(f"stale baseline entry: {fingerprint}", file=sys.stderr)
-        print(f"lint: {len(stale)} stale baseline entr"
-              f"{'y' if len(stale) == 1 else 'ies'} -- drop with "
-              f"'repro lint --prune-baseline'", file=sys.stderr)
-        exit_code = max(exit_code, 1)
-    return exit_code
+        print(format_text(report, show_suppressed=args.show_suppressed))
+    return report.exit_code
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -1,4 +1,4 @@
-"""reprolint core: modules, rules, suppressions, baseline, reports.
+"""reprolint core: modules, rules, suppressions, reports.
 
 The framework is deliberately small and dependency-free (``ast`` +
 ``tokenize``):
@@ -9,12 +9,11 @@ The framework is deliberately small and dependency-free (``ast`` +
 * :class:`LintRule` -- base class every rule subclasses; rules
   self-register with :func:`register_rule` and carry their own docs
   (``repro lint --explain RL001`` prints the class docstring);
-* :func:`run_lint` -- collect files, run every in-scope rule, apply
-  suppressions and the baseline, and return a :class:`LintReport` with
-  stable per-finding fingerprints;
-* baseline I/O -- a checked JSON file of grandfathered finding
-  fingerprints, so a new rule can land before every historical finding
-  is fixed without letting *new* findings through CI.
+* :func:`run_lint` -- collect files, run every rule on the modules in
+  its scope, apply suppressions, and return a :class:`LintReport`.
+
+Nothing is grandfathered: every finding is either fixed or suppressed
+inline with a reason.
 
 Suppression syntax (line-scoped)::
 
@@ -32,9 +31,7 @@ Exit-code semantics (used by the CLI and ``tools/run_lint.py``):
 from __future__ import annotations
 
 import ast
-import hashlib
 import io
-import json
 import re
 import tokenize
 from dataclasses import dataclass, field
@@ -42,22 +39,18 @@ from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 __all__ = [
-    "BASELINE_KIND",
     "Finding",
     "LintReport",
     "LintRule",
     "ModuleSource",
     "all_rules",
     "get_rule",
-    "load_baseline",
     "register_rule",
     "run_lint",
-    "save_baseline",
 ]
 
 PathLike = Union[str, Path]
 
-BASELINE_KIND = "reprolint-baseline"
 REPORT_KIND = "reprolint-report"
 META_CODE = "RL000"
 
@@ -72,8 +65,7 @@ _CODE_RE = re.compile(r"(?P<code>RL\d{3})\s*(?:\((?P<reason>[^()]*)\))?")
 class Finding:
     """One rule violation at one source location.
 
-    ``status`` is assigned by the runner: ``new`` (fails the run),
-    ``baselined`` (grandfathered by the baseline file) or
+    ``status`` is assigned by the runner: ``new`` (fails the run) or
     ``suppressed`` (an inline pragma with a reason matched it).
     """
 
@@ -85,7 +77,6 @@ class Finding:
     snippet: str = ""
     status: str = "new"
     reason: str = ""  # suppression reason when status == "suppressed"
-    fingerprint: str = ""
 
     def location(self) -> str:
         return f"{self.path}:{self.line}:{self.column + 1}"
@@ -100,7 +91,6 @@ class Finding:
             "snippet": self.snippet,
             "status": self.status,
             "reason": self.reason,
-            "fingerprint": self.fingerprint,
         }
 
 
@@ -266,8 +256,8 @@ class LintRule:
       (empty tuple = every scanned module).
 
     Subclasses implement :meth:`check_module` and/or
-    :meth:`check_project` (for cross-module properties such as
-    registry name collisions) and document themselves in the class
+    :meth:`check_project` (for cross-module properties such as RL001's
+    interprocedural order taint) and document themselves in the class
     docstring, which ``repro lint --explain CODE`` prints verbatim.
     """
 
@@ -347,70 +337,6 @@ _RULES[META_CODE] = _SuppressionHygiene()
 
 
 # ----------------------------------------------------------------------
-# baseline
-# ----------------------------------------------------------------------
-def finding_fingerprint(finding: Finding, occurrence: int) -> str:
-    """Stable identity for baselining.
-
-    Line numbers drift with every edit, so the fingerprint hashes the
-    rule, the file, the *stripped source line* and an occurrence index
-    (disambiguating identical lines in one file, counted in line
-    order).  Grandfathered findings survive unrelated edits; touching
-    the flagged line itself re-surfaces the finding, which is the
-    desired pressure.
-    """
-    payload = "::".join(
-        [finding.rule, finding.path, finding.snippet, str(occurrence)]
-    )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
-
-
-def assign_fingerprints(findings: Sequence[Finding]) -> None:
-    counts: Dict[Tuple[str, str, str], int] = {}
-    for finding in sorted(findings, key=lambda f: (f.path, f.line, f.column)):
-        key = (finding.rule, finding.path, finding.snippet)
-        occurrence = counts.get(key, 0)
-        counts[key] = occurrence + 1
-        finding.fingerprint = finding_fingerprint(finding, occurrence)
-
-
-def load_baseline(path: PathLike) -> Dict[str, Dict[str, Any]]:
-    """Load a baseline file; raises ``ValueError`` on a malformed one."""
-    raw = Path(path).read_text()
-    data = json.loads(raw)
-    if (
-        not isinstance(data, dict)
-        or data.get("kind") != BASELINE_KIND
-        or not isinstance(data.get("entries"), dict)
-    ):
-        raise ValueError(
-            f"{path} is not a {BASELINE_KIND} file (regenerate with "
-            f"'repro lint --write-baseline')"
-        )
-    return data["entries"]
-
-
-def save_baseline(path: PathLike, findings: Sequence[Finding]) -> int:
-    """Write the baseline for ``findings`` (new + previously baselined)."""
-    entries = {
-        finding.fingerprint: {
-            "rule": finding.rule,
-            "path": finding.path,
-            "snippet": finding.snippet,
-        }
-        for finding in findings
-        if finding.status in ("new", "baselined")
-    }
-    payload = {
-        "kind": BASELINE_KIND,
-        "version": 1,
-        "entries": entries,
-    }
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return len(entries)
-
-
-# ----------------------------------------------------------------------
 # the runner
 # ----------------------------------------------------------------------
 @dataclass
@@ -421,15 +347,10 @@ class LintReport:
     files: int
     rules: List[str]
     findings: List[Finding] = field(default_factory=list)
-    stale_baseline: List[str] = field(default_factory=list)
 
     @property
     def new(self) -> List[Finding]:
         return [f for f in self.findings if f.status == "new"]
-
-    @property
-    def baselined(self) -> List[Finding]:
-        return [f for f in self.findings if f.status == "baselined"]
 
     @property
     def suppressed(self) -> List[Finding]:
@@ -438,6 +359,12 @@ class LintReport:
     @property
     def exit_code(self) -> int:
         return 1 if self.new else 0
+
+    def summary(self) -> str:
+        return (
+            f"reprolint: {self.files} files, {len(self.rules)} rules -- "
+            f"{len(self.new)} new, {len(self.suppressed)} suppressed"
+        )
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -448,10 +375,8 @@ class LintReport:
             "rules": self.rules,
             "counts": {
                 "new": len(self.new),
-                "baselined": len(self.baselined),
                 "suppressed": len(self.suppressed),
             },
-            "stale_baseline": list(self.stale_baseline),
             "findings": [f.to_dict() for f in self.findings],
         }
 
@@ -488,38 +413,20 @@ def _display_path(file_path: Path, base: Optional[Path] = None) -> str:
 
 def run_lint(
     paths: Sequence[PathLike],
-    rule_codes: Optional[Sequence[str]] = None,
-    baseline: Optional[Dict[str, Dict[str, Any]]] = None,
     display_root: Optional[PathLike] = None,
 ) -> LintReport:
-    """Lint ``paths`` and return the full report.
+    """Lint ``paths`` with every rule and return the full report.
 
     Args:
         paths: files and/or directories (directories recurse ``*.py``).
-        rule_codes: restrict to these codes (RL000 always runs).
-        baseline: grandfathered-fingerprint entries from
-            :func:`load_baseline`; matching findings are reported with
-            ``status="baselined"`` and do not fail the run.
         display_root: base that finding paths are reported relative to
-            (default: the cwd).  Baseline fingerprints hash these
-            paths, so the CLI pins this to the repo root to stay
-            cwd-independent.
+            (default: the cwd).  The CLI pins this to the repo root so
+            its output does not depend on where it is invoked from.
 
     Raises:
         FileNotFoundError: a given path does not exist.
-        ValueError: an unknown rule code was requested.
     """
     selected = all_rules()
-    if rule_codes:
-        wanted = set(rule_codes) | {META_CODE}
-        unknown = wanted - {rule.code for rule in selected}
-        if unknown:
-            raise ValueError(
-                f"unknown rule codes: {', '.join(sorted(unknown))} "
-                f"(known: {', '.join(r.code for r in selected)})"
-            )
-        selected = [rule for rule in selected if rule.code in wanted]
-
     base = Path(display_root).resolve() if display_root is not None else None
     modules: List[ModuleSource] = []
     findings: List[Finding] = []
@@ -552,23 +459,13 @@ def run_lint(
         findings.extend(rule.check_project(in_scope))
 
     findings.extend(_apply_suppressions(modules, findings))
-    assign_fingerprints(findings)
     findings.sort(key=lambda f: (f.path, f.line, f.column, f.rule))
-
-    stale: List[str] = []
-    if baseline:
-        present = {f.fingerprint for f in findings}
-        stale = sorted(fp for fp in baseline if fp not in present)
-        for finding in findings:
-            if finding.status == "new" and finding.fingerprint in baseline:
-                finding.status = "baselined"
 
     return LintReport(
         root=str(base if base is not None else Path.cwd()),
         files=files,
         rules=[rule.code for rule in selected],
         findings=findings,
-        stale_baseline=stale,
     )
 
 
@@ -625,15 +522,9 @@ def _apply_suppressions(
 # ----------------------------------------------------------------------
 # report formatting
 # ----------------------------------------------------------------------
-def format_text(
-    report: LintReport,
-    show_baselined: bool = False,
-    show_suppressed: bool = False,
-) -> str:
+def format_text(report: LintReport, show_suppressed: bool = False) -> str:
     out: List[str] = []
     shown = list(report.new)
-    if show_baselined:
-        shown.extend(report.baselined)
     if show_suppressed:
         shown.extend(report.suppressed)
     shown.sort(key=lambda f: (f.path, f.line, f.column, f.rule))
@@ -646,15 +537,5 @@ def format_text(
             out.append(f"    {finding.snippet}")
         if finding.reason:
             out.append(f"    reason: {finding.reason}")
-    if report.stale_baseline:
-        out.append(
-            f"note: {len(report.stale_baseline)} stale baseline entr"
-            f"{'y' if len(report.stale_baseline) == 1 else 'ies'} no longer "
-            f"match any finding (refresh with --write-baseline)"
-        )
-    out.append(
-        f"reprolint: {report.files} files, {len(report.rules)} rules -- "
-        f"{len(report.new)} new, {len(report.baselined)} baselined, "
-        f"{len(report.suppressed)} suppressed"
-    )
+    out.append(report.summary())
     return "\n".join(out)

@@ -13,8 +13,8 @@ Each rule protects one of the repo's standing correctness contracts
   requests, and ``AsyncEngine``/``AllocationServer`` coroutines must
   never block the event loop.
 * **RL005** -- registry/envelope hygiene: allocator registrations are
-  the extension surface; collisions and wrongly-typed strategies fail
-  far from their cause at runtime.
+  the extension surface; computed names and wrongly-typed strategies
+  fail far from their cause at runtime.
 
 Rules are syntactic with a little per-scope inference -- no imports of
 the checked code, no type checker.  That trades a few misses for zero
@@ -719,11 +719,8 @@ class RegistryHygieneRule(LintRule):
     auditable:
 
     * the name must be a **string literal** (a computed name defeats
-      collision auditing and spawn-safe re-registration);
-    * one name, one strategy: duplicate literal names across the
-      scanned tree are flagged at every site after the first
-      (at runtime the second registration raises -- but only on the
-      import order that happens to load both);
+      auditing the registry by reading it, and spawn-safe
+      re-registration);
     * the strategy must actually produce a result the engine can wrap
       into an ``AllocationResult`` envelope: a function body with no
       ``return <value>`` is flagged, and an explicit return annotation
@@ -733,28 +730,23 @@ class RegistryHygieneRule(LintRule):
 
     code = "RL005"
     name = "registry-hygiene"
-    contract = "registry: one literal name per strategy, envelope-shaped"
+    contract = "registry: literal strategy names, envelope-shaped"
     scope = ()
 
     _DECORATOR = "register_allocator"
     _RETURN_OK = ("Datapath", "AllocationResult", "Tuple", "tuple")
 
-    def check_project(
-        self, modules: Sequence[ModuleSource]
-    ) -> Iterable[Finding]:
+    def check_module(self, module: ModuleSource) -> Iterable[Finding]:
         findings: List[Finding] = []
-        seen: Dict[str, Tuple[str, int]] = {}  # name -> first site
-        for module in modules:
-            for node in ast.walk(module.tree):
-                if not isinstance(
-                    node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-                ):
-                    continue
-                for decorator in node.decorator_list:
-                    call = self._registration(decorator)
-                    if call is None:
-                        continue
-                    self._check_site(module, node, call, seen, findings)
+        for node in ast.walk(module.tree):
+            if not isinstance(
+                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+            ):
+                continue
+            for decorator in node.decorator_list:
+                call = self._registration(decorator)
+                if call is not None:
+                    self._check_site(module, node, call, findings)
         return findings
 
     def _registration(self, decorator: ast.AST) -> Optional[ast.Call]:
@@ -769,7 +761,6 @@ class RegistryHygieneRule(LintRule):
         module: ModuleSource,
         node: ast.AST,
         call: ast.Call,
-        seen: Dict[str, Tuple[str, int]],
         findings: List[Finding],
     ) -> None:
         name_node = call.args[0] if call.args else None
@@ -780,19 +771,8 @@ class RegistryHygieneRule(LintRule):
             findings.append(module.finding(
                 self.code, call,
                 "register_allocator() name must be a string literal so "
-                "collisions are statically auditable",
+                "the registry is auditable by reading it",
             ))
-        else:
-            name = name_node.value
-            first = seen.get(name)
-            if first is not None:
-                findings.append(module.finding(
-                    self.code, call,
-                    f"allocator name {name!r} already registered at "
-                    f"{first[0]}:{first[1]}",
-                ))
-            else:
-                seen[name] = (module.display, call.lineno)
 
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             if node.returns is not None:

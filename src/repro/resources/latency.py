@@ -48,10 +48,22 @@ class SonicLatencyModel(LatencyModel):
 
     ``add``: constant 2 cycles.  ``mul``: ``ceil((n + m) / bits_per_cycle)``
     with ``bits_per_cycle = 8`` as in the paper.
+
+    Raises:
+        ValueError: a parameter is not an int of at least 1.
     """
 
     adder_cycles: int = 2
     bits_per_cycle: int = 8
+
+    def __post_init__(self) -> None:
+        for name in ("adder_cycles", "bits_per_cycle"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise ValueError(
+                    f"SonicLatencyModel.{name} must be an int >= 1, "
+                    f"got {value!r}"
+                )
 
     def latency(self, resource: ResourceType) -> int:
         if resource.kind == "add":

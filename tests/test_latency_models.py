@@ -46,6 +46,16 @@ class TestSonicModel:
         assert model.latency(ResourceType("add", (8,))) == 1
         assert model.latency(ResourceType("mul", (16, 16))) == 2
 
+    @pytest.mark.parametrize("field", ("adder_cycles", "bits_per_cycle"))
+    @pytest.mark.parametrize(
+        "value", (-8, -1, 0, True, 2.5, 8.0, "abc", None), ids=repr
+    )
+    def test_degenerate_parameter_rejected(self, field, value):
+        # Refinement assumes positive latencies; a zero divisor or a
+        # negative adder would otherwise reach the solver.
+        with pytest.raises(ValueError, match=f"SonicLatencyModel.{field}"):
+            SonicLatencyModel(**{field: value})
+
 
 class TestTableModel:
     def test_lookup(self):

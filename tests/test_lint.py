@@ -1,4 +1,4 @@
-"""reprolint: rule fixtures, suppressions, baseline, CLI, self-lint.
+"""reprolint: rule fixtures, suppressions, CLI, self-lint.
 
 Every RL rule gets one fixture module that must trip it and one clean
 near-miss that must not.  Fixtures are written under scope-mimicking
@@ -11,25 +11,19 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-import pytest
-
 from repro.cli import main as repro_main
-from repro.devtools.lint import (
-    load_baseline,
-    run_lint,
-    save_baseline,
-)
+from repro.devtools.lint import run_lint
 from repro.devtools.lint.framework import _parse_suppressions
 
 REPO = Path(__file__).resolve().parent.parent
 
 
-def lint_file(tmp_path: Path, relpath: str, source: str, **kwargs):
+def lint_file(tmp_path: Path, relpath: str, source: str):
     """Write one fixture module and lint the tmp tree."""
     target = tmp_path / relpath
     target.parent.mkdir(parents=True, exist_ok=True)
     target.write_text(source)
-    return run_lint([tmp_path], **kwargs)
+    return run_lint([tmp_path])
 
 
 def codes(report):
@@ -366,25 +360,6 @@ class TestRL004:
 # RL005 registry hygiene
 # ----------------------------------------------------------------------
 class TestRL005:
-    def test_duplicate_names_across_files_trip(self, tmp_path):
-        (tmp_path / "plugins").mkdir()
-        (tmp_path / "plugins" / "a.py").write_text(
-            "from repro.engine import register_allocator\n"
-            "@register_allocator('dup')\n"
-            "def one(problem):\n"
-            "    return problem\n"
-        )
-        (tmp_path / "plugins" / "b.py").write_text(
-            "from repro.engine import register_allocator\n"
-            "@register_allocator('dup')\n"
-            "def two(problem):\n"
-            "    return problem\n"
-        )
-        report = run_lint([tmp_path])
-        assert codes(report) == ["RL005"]
-        assert "already registered" in report.new[0].message
-        assert report.new[0].path.endswith("b.py")
-
     def test_dynamic_name_trips(self, tmp_path):
         report = lint_file(tmp_path, "plugins/dyn.py", (
             "from repro.engine import register_allocator\n"
@@ -491,113 +466,34 @@ class TestSuppressions:
 
 
 # ----------------------------------------------------------------------
-# baseline round-trip
+# CLI integration (via the repro entry point)
 # ----------------------------------------------------------------------
-class TestBaseline:
+class TestCli:
     BAD = (
         "import time\n"
         "def stamp():\n"
         "    return time.time()\n"
     )
 
-    def test_round_trip_grandfathers_then_catches_new(self, tmp_path):
-        report = lint_file(tmp_path, "core/old.py", self.BAD)
-        assert len(report.new) == 1
-        baseline_path = tmp_path / "baseline.json"
-        save_baseline(baseline_path, report.findings)
-        baseline = load_baseline(baseline_path)
-        assert len(baseline) == 1
-
-        # Same tree, baseline applied: grandfathered, run passes.
-        again = run_lint([tmp_path], baseline=baseline)
-        assert again.new == []
-        assert len(again.baselined) == 1
-        assert again.exit_code == 0
-
-        # A new finding elsewhere still fails the run.
-        (tmp_path / "core" / "fresh.py").write_text(
-            "import random\n"
-            "def roll():\n"
-            "    return random.random()\n"
-        )
-        third = run_lint([tmp_path], baseline=baseline)
-        assert codes(third) == ["RL002"]
-        assert third.new[0].path.endswith("fresh.py")
-        assert third.exit_code == 1
-
-    def test_fingerprint_survives_line_drift(self, tmp_path):
-        report = lint_file(tmp_path, "core/drift.py", self.BAD)
-        fingerprint = report.new[0].fingerprint
-        # Prepend unrelated lines: same finding, same fingerprint.
-        (tmp_path / "core" / "drift.py").write_text(
-            "# a comment\nVALUE = 1\n" + self.BAD
-        )
-        moved = run_lint([tmp_path])
-        assert [f.fingerprint for f in moved.new] == [fingerprint]
-        assert moved.new[0].line == 5
-
-    def test_stale_baseline_entries_reported(self, tmp_path):
-        report = lint_file(tmp_path, "core/old.py", self.BAD)
-        baseline_path = tmp_path / "baseline.json"
-        save_baseline(baseline_path, report.findings)
-        (tmp_path / "core" / "old.py").write_text("VALUE = 1\n")
-        clean = run_lint(
-            [tmp_path], baseline=load_baseline(baseline_path)
-        )
-        assert clean.new == []
-        assert len(clean.stale_baseline) == 1
-
-    def test_malformed_baseline_rejected(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"kind": "something-else"}))
-        with pytest.raises(ValueError):
-            load_baseline(path)
-
-
-# ----------------------------------------------------------------------
-# CLI integration (via the repro entry point)
-# ----------------------------------------------------------------------
-class TestCli:
     def test_lint_subcommand_clean_tree(self, tmp_path, capsys):
         (tmp_path / "mod.py").write_text("VALUE = 1\n")
-        code = repro_main(["lint", str(tmp_path), "--no-baseline"])
+        code = repro_main(["lint", str(tmp_path)])
         assert code == 0
         assert "0 new" in capsys.readouterr().out
 
     def test_lint_subcommand_json_output(self, tmp_path, capsys):
         target = tmp_path / "core"
         target.mkdir()
-        (target / "bad.py").write_text(TestBaseline.BAD)
-        code = repro_main([
-            "lint", str(tmp_path), "--no-baseline", "--format", "json",
-        ])
+        (target / "bad.py").write_text(self.BAD)
+        code = repro_main(["lint", str(tmp_path), "--format", "json"])
         assert code == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["kind"] == "reprolint-report"
         assert payload["counts"]["new"] == 1
         assert payload["findings"][0]["rule"] == "RL002"
 
-    def test_write_baseline_then_clean(self, tmp_path, capsys, monkeypatch):
-        target = tmp_path / "core"
-        target.mkdir()
-        (target / "bad.py").write_text(TestBaseline.BAD)
-        baseline = tmp_path / "baseline.json"
-        assert repro_main([
-            "lint", str(tmp_path), "--baseline", str(baseline),
-            "--write-baseline",
-        ]) == 0
-        assert repro_main([
-            "lint", str(tmp_path), "--baseline", str(baseline),
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "1 baselined" in out
-
-    def test_unknown_rule_code_usage_error(self, tmp_path, capsys):
-        code = repro_main(["lint", str(tmp_path), "--rules", "RL999"])
-        assert code == 2
-
     def test_missing_path_usage_error(self, tmp_path, capsys):
-        code = repro_main(["lint", str(tmp_path / "nope"), "--no-baseline"])
+        code = repro_main(["lint", str(tmp_path / "nope")])
         assert code == 2
 
     def test_explain_and_list_rules(self, capsys):
@@ -614,9 +510,9 @@ class TestCli:
     def test_github_format_emits_error_annotations(self, tmp_path, capsys):
         target = tmp_path / "core"
         target.mkdir()
-        (target / "bad.py").write_text(TestBaseline.BAD)
+        (target / "bad.py").write_text(self.BAD)
         assert repro_main([
-            "lint", str(tmp_path), "--no-baseline", "--format", "github",
+            "lint", str(tmp_path), "--format", "github",
         ]) == 1
         out = capsys.readouterr().out
         assert "::error file=" in out
@@ -624,51 +520,16 @@ class TestCli:
         assert "title=reprolint RL002" in out
         assert "-- 1 new," in out
 
-    def test_fail_stale_then_prune_baseline(self, tmp_path, capsys):
-        target = tmp_path / "core"
-        target.mkdir()
-        (target / "bad.py").write_text(TestBaseline.BAD)
-        baseline = tmp_path / "baseline.json"
-        assert repro_main([
-            "lint", str(tmp_path), "--baseline", str(baseline),
-            "--write-baseline",
-        ]) == 0
-        # Fix the grandfathered finding: the baseline entry goes stale.
-        (target / "bad.py").write_text("VALUE = 1\n")
-        assert repro_main([
-            "lint", str(tmp_path), "--baseline", str(baseline),
-        ]) == 0
-        assert repro_main([
-            "lint", str(tmp_path), "--baseline", str(baseline),
-            "--fail-stale",
-        ]) == 1
-        captured = capsys.readouterr()
-        assert "stale baseline entry" in captured.err
-        assert "--prune-baseline" in captured.err
-
-        assert repro_main([
-            "lint", str(tmp_path), "--baseline", str(baseline),
-            "--prune-baseline",
-        ]) == 0
-        assert "pruned 1 stale baseline entry (0 remain)" in (
-            capsys.readouterr().out
-        )
-        assert load_baseline(baseline) == {}
-        assert repro_main([
-            "lint", str(tmp_path), "--baseline", str(baseline),
-            "--fail-stale",
-        ]) == 0
-
     def test_syntax_error_is_a_finding(self, tmp_path, capsys):
         (tmp_path / "broken.py").write_text("def oops(:\n")
-        code = repro_main(["lint", str(tmp_path), "--no-baseline"])
+        code = repro_main(["lint", str(tmp_path)])
         assert code == 1
         assert "does not parse" in capsys.readouterr().out
 
     def test_defaults_resolve_from_subdirectory(self, capsys, monkeypatch):
-        # Invoked from a subdirectory, the defaults must still find the
-        # repo-root src/repro and checked baseline, and finding paths
-        # must stay root-relative (they feed baseline fingerprints).
+        # Invoked from a subdirectory, the default must still find the
+        # repo-root src/repro, and finding paths must stay
+        # root-relative.
         monkeypatch.chdir(REPO / "docs")
         assert repro_main(["lint", "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -703,6 +564,27 @@ class TestSelfLint:
             assert run_lint_tool.main([]) == 0
         finally:
             os.chdir(cwd)
+
+    def test_ci_entry_fails_on_an_unsuppressed_finding(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        import tools.run_lint as run_lint_tool
+
+        # Nothing is grandfathered: a finding fails the gate until its
+        # line carries a suppression with a reason.  The entry chdirs
+        # to the repo root; monkeypatch restores the cwd.
+        monkeypatch.chdir(REPO)
+        target = tmp_path / "core" / "x.py"
+        target.parent.mkdir()
+        target.write_text(TestCli.BAD)
+        assert run_lint_tool.main([str(tmp_path)]) == 1
+        assert "RL002" in capsys.readouterr().out
+        target.write_text(TestCli.BAD.replace(
+            "time.time()",
+            "time.time()  # reprolint: disable=RL002(telemetry, never canonical)",
+        ))
+        assert run_lint_tool.main([str(tmp_path)]) == 0
+        assert "0 new, 1 suppressed" in capsys.readouterr().out
 
     def test_ci_entry_needs_no_third_party_deps(self):
         # The CI reprolint job runs on a bare interpreter: the entry

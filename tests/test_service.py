@@ -466,20 +466,41 @@ class TestHttpEndpoints:
                         )
                     assert excinfo.value.status == 404
 
-    def test_degenerate_area_model_is_http_400(self):
+    @staticmethod
+    def _assert_model_params_refused(model, cases, message):
         entry = allocate_request_payload(make_request())
         entry.pop("fingerprint", None)  # advisory, and stale once edited
+        params = entry["problem"][model]["params"]
         with ServerThread(engine=Engine(), max_concurrency=1) as st:
             client = ServiceClient(st.url)
             client.wait_healthy()
-            for unit in (-1.0, 0.0, "abc"):
-                entry["problem"]["area_model"]["params"]["mul_unit"] = unit
+            for field, value in cases:
+                entry["problem"][model]["params"] = dict(
+                    params, **{field: value}
+                )
                 with pytest.raises(ServiceError) as excinfo:
                     client._request("POST", "/v1/allocate", entry)
-                assert excinfo.value.status == 400, unit
-                assert "mul_unit must be a finite positive number" in str(
-                    excinfo.value
-                )
+                assert excinfo.value.status == 400, (field, value)
+                assert message.format(field=field) in str(excinfo.value)
+
+    def test_degenerate_area_model_is_http_400(self):
+        self._assert_model_params_refused(
+            "area_model",
+            [("mul_unit", unit) for unit in (-1.0, 0.0, "abc")],
+            "{field} must be a finite positive number",
+        )
+
+    def test_degenerate_latency_model_is_http_400(self):
+        self._assert_model_params_refused(
+            "latency_model",
+            [
+                ("adder_cycles", -1), ("adder_cycles", 0),
+                ("adder_cycles", True), ("adder_cycles", 2.5),
+                ("adder_cycles", "abc"), ("bits_per_cycle", 0),
+                ("bits_per_cycle", -8),
+            ],
+            "SonicLatencyModel.{field} must be an int",
+        )
 
     def test_solver_failure_is_an_envelope_not_an_http_error(self):
         # An infeasible problem: tightest possible latency.

@@ -1,9 +1,12 @@
 """Tests for the wordlength compatibility graph."""
 
+import random
+
 import pytest
 
 from repro.core.wcg import WordlengthCompatibilityGraph
 from repro.ir.ops import Operation
+from repro.resources.extraction import extract_resource_set
 from repro.resources.latency import SonicLatencyModel
 from repro.resources.types import ResourceType
 
@@ -119,6 +122,48 @@ class TestRefinement:
         clone = wcg.copy()
         wcg.refine("m")
         assert clone.upper_bound_latency("m") == 4
+
+
+class TestKeptUpperBounds:
+    """The WCG keeps ``L_o`` per op; it must match a fresh scan of ``H``."""
+
+    @staticmethod
+    def scanned(wcg):
+        return {
+            name: max(wcg.latency(r) for r in wcg.compatible_resources(name))
+            for name in wcg.op_names
+        }
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_kept_bounds_follow_random_refinements(self, seed):
+        rng = random.Random(seed)
+        ops = [
+            Operation(
+                f"o{i}",
+                rng.choice(("mul", "add")),
+                (rng.randint(2, 24), rng.randint(2, 24)),
+            )
+            for i in range(12)
+        ]
+        wcg = wcg_for(ops, extract_resource_set(ops, prune=False))
+        assert wcg.upper_bound_latencies() == self.scanned(wcg)
+        while True:
+            refinable = [n for n in wcg.op_names if wcg.can_refine(n)]
+            if not refinable:
+                break
+            wcg.refine(rng.choice(refinable))
+            kept = wcg.upper_bound_latencies()
+            assert kept == self.scanned(wcg)
+            assert {n: wcg.upper_bound_latency(n) for n in kept} == kept
+            clone = wcg.copy()
+            assert clone.upper_bound_latencies() == kept
+
+    def test_bounds_map_is_a_fresh_copy(self):
+        wcg = wcg_for([Operation("m", "mul", (8, 8))], MULS)
+        bounds = wcg.upper_bound_latencies()
+        bounds["m"] = 99
+        assert wcg.upper_bound_latency("m") == 4
+        assert wcg.upper_bound_latencies() is not wcg.upper_bound_latencies()
 
 
 class TestSchedulingSet:

@@ -1,10 +1,9 @@
 #!/usr/bin/env python
-"""CI entry for reprolint: self-lint the repo against the baseline.
+"""CI entry for reprolint: self-lint the repo.
 
-Runs ``repro lint src/repro`` from the repository root with the checked
-baseline (``tools/reprolint-baseline.json``), so the job fails exactly
-when the tree gains a finding that is neither suppressed inline (with a
-reason) nor grandfathered.  Works without an installed package -- the
+Runs ``repro lint src/repro`` from the repository root, so the job
+fails exactly when the tree holds a finding that is not suppressed
+inline with a reason.  Works without an installed package -- the
 repo's ``src/`` is prepended to ``sys.path`` -- and without the runtime
 dependencies: the lint package is stdlib-only, so it is loaded through
 parent-package stubs that skip ``repro/__init__`` (which would import
@@ -56,22 +55,9 @@ def _import_lint():
 
 def main(argv=None) -> int:
     sys.path.insert(0, str(REPO / "src"))
-    os.chdir(REPO)  # baseline + finding paths are repo-root relative
-    lint_main = _import_lint().main
-
-    args = list(sys.argv[1:] if argv is None else argv)
-    if not any(a.startswith("--baseline") or a == "--no-baseline"
-               for a in args):
-        args = ["--baseline", "tools/reprolint-baseline.json", *args]
-    # CI default: a stale baseline entry fails the job so the file
-    # shrinks as findings are fixed.  Maintenance commands that edit
-    # state themselves run without the extra failure mode.
-    maintenance = {"--write-baseline", "--prune-baseline",
-                   "--list-rules", "--explain"}
-    if "--fail-stale" not in args and not maintenance.intersection(args):
-        args = ["--fail-stale", *args]
+    os.chdir(REPO)  # finding paths are repo-root relative
     # No explicit path means the lint CLI's default: src/repro.
-    return lint_main(args)
+    return _import_lint().main(argv)
 
 
 if __name__ == "__main__":
