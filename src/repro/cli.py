@@ -9,12 +9,12 @@ Subcommands:
   trace, which also rides into the ``--json`` export);
 * ``trace`` -- summarise the solver iteration trace stored in a
   datapath / allocation-result / allocation-batch JSON file;
-* ``delta`` -- warm-start re-solve of an *edited* problem
-  (``--edit latency=40``, ``--edit width:op3=8,10``, ``--edit
-  limit:mul=2``): the engine replays the recorded base solve as far as
-  the edits allow and re-solves only the divergent tail, with canonical
-  output byte-identical to a cold solve (``--url`` sends the request to
-  a running service's ``POST /delta`` instead);
+* ``delta`` -- solve an *edited* problem (``--edit latency=40``,
+  ``--edit width:op3=8,10``, ``--edit limit:mul=2``): the engine
+  applies the edits to the base problem and solves the result like any
+  other request, so the output is byte-identical to a cold solve
+  (``--url`` sends the request to a running service's
+  ``POST /v1/delta`` instead);
 * ``compare`` -- run every registered allocator on one problem and
   tabulate areas (infeasible methods are reported per-row; the exit code
   is nonzero only when *every* method fails);
@@ -353,8 +353,7 @@ def _cmd_delta(args) -> int:
     problem = _build_problem(args.workload, args.relax, args.latency)
     request = DeltaRequest(edits=tuple(args.edit), base_problem=problem)
     result = _backend(args).run_delta(request)
-    meta = dict(result.delta or {})
-    strategy = meta.get("strategy", "?")
+    strategy = (result.delta or {}).get("strategy", "?")
     if not result.ok:
         print(f"delta ({strategy}): {result.error}", file=sys.stderr)
         return 1
@@ -365,13 +364,7 @@ def _cmd_delta(args) -> int:
         f"({len(request.edits)} edit(s))"
     )
     print(result.datapath.summary())
-    detail = f"delta strategy: {strategy}"
-    if "verified_iterations" in meta:
-        detail += (
-            f" (replayed {meta['verified_iterations']}, "
-            f"re-solved {meta['resumed_iterations']} iterations)"
-        )
-    print(detail)
+    print(f"delta strategy: {strategy}")
     if args.json:
         from .io import allocation_result_to_dict
 
@@ -915,8 +908,7 @@ def main(argv=None) -> int:
 
     cmd = sub.add_parser(
         "delta",
-        help="warm-start re-solve of an edited problem (replays the "
-             "recorded base solve; see docs/architecture.md)",
+        help="solve an edited problem (see docs/architecture.md)",
         parents=[cache_parent, service_parent],
     )
     add_problem_args(cmd)

@@ -1,102 +1,32 @@
-"""Delta solves: the edit model and the verified replay walk.
+"""Delta solves: the edit model.
 
-``Engine.run_delta`` re-solves an *edited* problem by reusing the
-recorded iteration stream of a previously solved base problem (see
-:class:`repro.core.solver.ReplayRecorder`).  This module supplies the
-two halves that make the reuse sound:
-
-**The edit model.**  An edit is one of
+``Engine.run_delta`` re-solves an *edited* problem: it applies an edit
+sequence to a base problem (:func:`apply_edits`) and runs the edited
+problem like any other request, so a delta's canonical bytes are those
+of a cold solve by construction.  An edit is one of
 
 * :class:`DeadlineEdit` -- change the latency constraint ``lambda``;
 * :class:`WordlengthEdit` -- change one operation's operand widths;
 * :class:`ConstraintEdit` -- set/clear one resource kind's ``N_y``.
-
-Each edit has a *footprint* (:func:`edit_footprint`): the operations
-and resource kinds it touches, mapped onto the solver's dirtiness
-channels (:data:`repro.core.solver.REUSE_CHANNELS`).  A wordlength or
-constraint edit dirties the WCG channels, which iteration 1 of any
-solve already consumes -- the channel-disjoint replay prefix is empty
-and the engine falls back to a scratch solve.  A deadline edit dirties
-*no* channel: every pipeline product of an iteration (bounds, covers,
-schedule, binding, makespan, area) is independent of ``lambda``, which
-enters the solve only through the feasibility check and through the
-``W = {o in Q_b : start(o) + L_o <= lambda}`` candidate threshold.
-That makes the whole recorded iteration stream a candidate replay
-prefix -- but only *verified* iteration by iteration, because the new
-deadline can flip the feasibility check or shift the ``W`` pool.
-
-**The verified replay walk** (:func:`replay_solve`).  Walk the recorded
-iterations, mutating a replayed WCG move-by-move, and at each recorded
-iteration decide from recorded data alone what a cold solve of the
-edited problem would do:
-
-* recorded makespan now meets the new deadline -> the cold solve
-  accepts here; stop and recompute this iteration's datapath;
-* the simulated refine choice under the new deadline (recorded ``Q_b``
-  + finish times thresholded against the new ``lambda``, replayed WCG,
-  recorded bound-latency tie-break) deviates from the recorded move ->
-  **divergence detected**; stop;
-* recorded accept whose makespan meets the new deadline, with every
-  earlier iteration verified -> **full replay**: the base datapath *is*
-  the cold solve of the edited problem, byte-for-byte.
-
-On any stop short of full replay the walk fast-forwards a fresh
-:class:`~repro.core.solver.SolverState` through the verified prefix
-(:func:`~repro.core.solver.forward_state`) and resumes the ordinary
-solve loop from there; scratch-vs-incremental byte parity guarantees
-the continuation equals a cold solve that took the same moves.  The
-differential fuzz harness (``tools/fuzz_delta.py``) enforces the
-parity contract end to end: every ``run_delta`` envelope is asserted
-canonical-byte-identical to a cold solve of the edited problem.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import (
-    Any,
-    Dict,
-    FrozenSet,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-    Union,
-)
+from dataclasses import dataclass, replace
+from typing import Optional, Sequence, Tuple, Union
 
 from ..ir.ops import Operation
 from ..ir.seqgraph import SequencingGraph
 from .problem import Problem
-from .refinement import choose_refinement_op
-from .solution import Datapath
-from .solver import (
-    REUSE_CHANNELS,
-    DPAllocOptions,
-    ReplayRecorder,
-    forward_state,
-    solve_loop,
-)
-from .wcg import WordlengthCompatibilityGraph
 
 __all__ = [
     "ConstraintEdit",
     "DeadlineEdit",
     "Edit",
-    "EditFootprint",
-    "ReplayOutcome",
     "WordlengthEdit",
     "apply_edits",
-    "edit_footprint",
-    "edits_footprint",
-    "replay_solve",
 ]
 
-
-# ----------------------------------------------------------------------
-# the edit model
-# ----------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class DeadlineEdit:
@@ -125,70 +55,6 @@ class ConstraintEdit:
 
 
 Edit = Union[DeadlineEdit, WordlengthEdit, ConstraintEdit]
-
-
-@dataclass(frozen=True)
-class EditFootprint:
-    """What an edit (sequence) touches, in solver-dirtiness terms."""
-
-    ops: FrozenSet[str] = frozenset()
-    kinds: FrozenSet[str] = frozenset()
-    deadline: bool = False
-
-    def union(self, other: "EditFootprint") -> "EditFootprint":
-        return EditFootprint(
-            ops=self.ops | other.ops,
-            kinds=self.kinds | other.kinds,
-            deadline=self.deadline or other.deadline,
-        )
-
-    def dirtied_channels(self) -> FrozenSet[str]:
-        """Dirtiness channels (:data:`REUSE_CHANNELS`) the edit touches.
-
-        Touched operations or resource kinds invalidate the WCG itself,
-        so every WCG-keyed channel is dirty and no recorded iteration
-        survives -- iteration 1 consumes them all.  A pure deadline
-        move dirties nothing: the recorded iterations remain a valid
-        (verification-pending) replay prefix.
-        """
-        if self.ops or self.kinds:
-            return frozenset(REUSE_CHANNELS["wcg"])
-        return frozenset()
-
-    @property
-    def replayable(self) -> bool:
-        """True when the recorded iteration stream can be replayed."""
-        return not self.dirtied_channels()
-
-
-def edit_footprint(edit: Edit, problem: Problem) -> EditFootprint:
-    """Footprint of one edit against ``problem`` (the pre-edit base)."""
-    if isinstance(edit, DeadlineEdit):
-        return EditFootprint(deadline=True)
-    if isinstance(edit, WordlengthEdit):
-        op = problem.graph.operation(edit.operation)
-        return EditFootprint(
-            ops=frozenset({edit.operation}),
-            kinds=frozenset({op.resource_kind}),
-        )
-    if isinstance(edit, ConstraintEdit):
-        return EditFootprint(kinds=frozenset({edit.kind}))
-    raise TypeError(f"not an edit: {edit!r}")
-
-
-def edits_footprint(
-    edits: Sequence[Edit], problem: Problem
-) -> EditFootprint:
-    """Union footprint of an edit sequence applied to ``problem``.
-
-    Footprints are computed against the *base* problem: edits never add
-    or remove operations, so the touched names/kinds are stable across
-    the sequence.
-    """
-    footprint = EditFootprint()
-    for edit in edits:
-        footprint = footprint.union(edit_footprint(edit, problem))
-    return footprint
 
 
 def _with_operation_widths(
@@ -241,195 +107,3 @@ def apply_edits(problem: Problem, edits: Sequence[Edit]) -> Problem:
         else:
             raise TypeError(f"not an edit: {edit!r}")
     return edited
-
-
-# ----------------------------------------------------------------------
-# the verified replay walk
-# ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ReplayOutcome:
-    """Result of replaying a recorded solve under an edited deadline.
-
-    Attributes:
-        strategy: ``"replay"`` (full replay; the base datapath is the
-            answer), ``"resumed"`` (the new deadline flipped a
-            feasibility check; re-solved from the verified prefix) or
-            ``"diverged"`` (the divergence detector caught a refine
-            choice shifting under the new deadline; re-solved from the
-            last verified iteration).
-        datapath: the continuation's datapath (``None`` for
-            ``"replay"`` -- reuse the base envelope -- and for an
-            infeasible continuation).
-        error: the continuation's ``InfeasibleError`` message, if any.
-        verified_iterations: length of the verified replay prefix.
-        resumed_iterations: pipeline iterations actually executed.
-        records: replay records for the *edited* problem (prefix +
-            continuation), so successive edits chain warmly; ``None``
-            when the continuation failed.
-    """
-
-    strategy: str
-    datapath: Optional[Datapath] = None
-    error: Optional[str] = None
-    verified_iterations: int = 0
-    resumed_iterations: int = 0
-    records: Optional[List[Dict[str, Any]]] = field(default=None)
-
-
-def _simulate_primary(
-    wcg: WordlengthCompatibilityGraph,
-    names: Tuple[str, ...],
-    record: Mapping[str, Any],
-    latency_constraint: int,
-    options: DPAllocOptions,
-) -> Optional[Tuple[str, str]]:
-    """The ``(pool, op)`` the primary refine step would pick now.
-
-    Re-evaluates the refine pass's primary pool sequence under the
-    edited ``lambda`` from recorded data: ``W`` thresholds the recorded
-    ``Q_b`` finish times against the new constraint, ``Qb``/``any`` are
-    deadline-independent, and the min-edge-loss tie-break gets the
-    recorded bound-resource latencies in place of a live binding.
-    """
-    bound_lat: Mapping[str, int] = record["bound_lat"]
-    if options.blind_refinement:
-        pools: Tuple[str, ...] = ("any",)
-    else:
-        pools = ("W", "Qb")
-    q_b: Set[str] = set(record.get("qb") or ())
-    finish: Mapping[str, int] = record.get("finish") or {}
-    for pool in pools:
-        if pool == "W":
-            candidates = {
-                name
-                for name in sorted(q_b)
-                if finish[name] <= latency_constraint
-            }
-        elif pool == "Qb":
-            candidates = set(q_b)
-        else:
-            candidates = set(names)
-        chosen = choose_refinement_op(
-            wcg,
-            candidates,
-            binding=None,
-            selector=options.selector,
-            bound_faster=bound_lat,
-        )
-        if chosen is not None:
-            return pool, chosen
-    return None
-
-
-def _verify_record(
-    wcg: WordlengthCompatibilityGraph,
-    names: Tuple[str, ...],
-    record: Mapping[str, Any],
-    latency_constraint: int,
-    options: DPAllocOptions,
-) -> bool:
-    """Would a cold solve under ``latency_constraint`` take this move?"""
-    primary = _simulate_primary(wcg, names, record, latency_constraint, options)
-    move, target, pool = record["move"], record["target"], record["pool"]
-    if move == "bump":
-        # With the primary pools empty, the bump branch sees exactly the
-        # recorded (deadline-independent) state: same bumpable set, same
-        # bottleneck kind, hence the same move.
-        return primary is None
-    if move != "refine":
-        return False
-    if options.blind_refinement or pool in ("W", "Qb"):
-        return primary == (pool, target)
-    if pool == "any":
-        # Last-resort refinement: reached only when the primary pools
-        # and the bump branch both came up empty.  The bump branch and
-        # the any-pool choice are deadline-independent, so the recorded
-        # move stands iff the primary pools are still empty.
-        if primary is not None:
-            return False
-        chosen = choose_refinement_op(
-            wcg,
-            set(names),
-            binding=None,
-            selector=options.selector,
-            bound_faster=record["bound_lat"],
-        )
-        return chosen == target
-    return False
-
-
-def replay_solve(
-    problem: Problem,
-    options: Optional[DPAllocOptions],
-    mode: Optional[str],
-    records: Sequence[Mapping[str, Any]],
-) -> ReplayOutcome:
-    """Solve ``problem`` by replaying a recorded base solve.
-
-    ``problem`` is the *edited* problem; it must differ from the
-    recorded base only in ``latency_constraint`` (the caller gates on
-    :meth:`EditFootprint.replayable`).  ``records`` is the base solve's
-    :class:`~repro.core.solver.ReplayRecorder` stream.
-
-    Raises nothing for infeasible continuations -- the error message a
-    cold solve would raise comes back in :attr:`ReplayOutcome.error`.
-    """
-    from .problem import InfeasibleError
-    from .solver import resolve_solver_mode
-
-    opts = options or DPAllocOptions()
-    incremental = resolve_solver_mode(mode) == "incremental"
-    lam = problem.latency_constraint
-    names = problem.graph.names
-    wcg = WordlengthCompatibilityGraph(
-        problem.graph.operations, problem.resource_set(), problem.latency_model
-    )
-
-    prefix: List[Dict[str, Any]] = []
-    strategy = "resumed"
-    for record in records:
-        if record["move"] == "accept":
-            if int(record["makespan"]) <= lam:
-                # Every earlier iteration verified and the recorded
-                # accept still meets the edited deadline: the base
-                # solve *is* the cold solve of the edited problem.
-                return ReplayOutcome(
-                    strategy="replay",
-                    verified_iterations=len(prefix) + 1,
-                    records=[dict(r) for r in records],
-                )
-            # Deadline tightened past the recorded accept: the cold
-            # solve keeps refining where the base stopped.
-            break
-        if int(record["makespan"]) <= lam:
-            # Relaxed deadline: the cold solve accepts at this
-            # iteration instead of taking the recorded move.  One
-            # pipeline iteration recomputes the datapath the recorder
-            # did not capture.
-            break
-        if not _verify_record(wcg, names, record, lam, opts):
-            strategy = "diverged"
-            break
-        if record["move"] == "refine":
-            wcg.refine(record["target"])
-        prefix.append(dict(record))
-
-    state = forward_state(problem, opts, incremental, prefix)
-    recorder = ReplayRecorder()
-    try:
-        datapath = solve_loop(state, recorder)
-    except InfeasibleError as exc:
-        return ReplayOutcome(
-            strategy=strategy,
-            error=str(exc),
-            verified_iterations=len(prefix),
-            resumed_iterations=state.iteration - len(prefix),
-        )
-    return ReplayOutcome(
-        strategy=strategy,
-        datapath=datapath,
-        verified_iterations=len(prefix),
-        resumed_iterations=datapath.iterations - len(prefix),
-        records=prefix + recorder.records,
-    )

@@ -168,7 +168,6 @@ def choose_refinement_op(
     candidates: Set[str],
     binding: Optional[Binding],
     selector: str = "min-edge-loss",
-    bound_faster: Optional[Mapping[str, int]] = None,
 ) -> Optional[str]:
     """Pick the candidate whose refinement loses the smallest edge share.
 
@@ -180,12 +179,6 @@ def choose_refinement_op(
 
     ``selector="name-order"`` replaces the paper's min-edge-loss rule by
     plain name order (ablation of the selection heuristic).
-
-    ``bound_faster`` replaces the live ``binding`` in the tie-break with
-    a recorded map of each operation's *bound resource latency* -- the
-    delta-replay walk (:mod:`repro.core.delta`) has no binding for past
-    iterations, only the recorded latencies, and the upper bounds come
-    from the replayed ``wcg``.  When given, ``binding`` is ignored.
     """
     refinable = sorted(n for n in candidates if wcg.can_refine(n))
     if not refinable:
@@ -198,11 +191,7 @@ def choose_refinement_op(
     def sort_key(name: str) -> Tuple[float, int, str]:
         proportion = _edge_loss_proportion(wcg, name)
         faster = 0
-        if bound_faster is not None:
-            latency = bound_faster.get(name)
-            if latency is not None and latency < wcg.upper_bound_latency(name):
-                faster = -1  # preferred
-        elif binding is not None:
+        if binding is not None:
             try:
                 resource = binding.resource_of(name)
                 if wcg.latency(resource) < wcg.upper_bound_latency(name):

@@ -45,24 +45,22 @@ import os
 import time
 from collections import Counter
 from dataclasses import dataclass, replace
-from typing import Any, Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ..resources.types import ResourceType
 from .binding import Binding, ChainCache, bindselect
 from .problem import InfeasibleError, Problem
-from .refinement import RefinementStep, bound_critical_path, refine_once
+from .refinement import RefinementStep, refine_once
 from .scheduling import list_schedule_outcome
 from .solution import Datapath, TraceEvent
 from .wcg import WordlengthCompatibilityGraph
 
 __all__ = [
     "DPAllocOptions",
-    "ReplayRecorder",
     "SOLVER_ENV",
     "SOLVER_MODES",
     "Pass",
     "SolverState",
-    "forward_state",
     "resolve_solver_mode",
     "run_pipeline",
     "solve_loop",
@@ -613,120 +611,13 @@ def _attach_perf(
     )
 
 
-class ReplayRecorder:
-    """Opt-in capture of the per-iteration data a delta replay needs.
-
-    Lives outside the :class:`Pass` effect contracts: ``solve_loop``
-    feeds it after each iteration, exactly like :func:`_attach_perf`
-    decorates the trace, so the pass contracts stay unchanged and
-    un-recorded solves (the default, including every benchmark) pay
-    nothing.
-
-    Each record holds the iteration's move (from the trace event the
-    passes just appended) plus the three pieces a later solve under a
-    *different deadline* cannot recompute from the replayed WCG alone:
-    the bound critical path ``Q_b``, its members' scheduled finish times
-    ``start + L_o`` (what the ``W`` pool thresholds against the
-    deadline), and every operation's bound-resource latency (the
-    min-edge-loss tie-break input).  All of it is
-    deadline-independent -- see :mod:`repro.core.delta` for the
-    argument -- which is what makes a recorded solve replayable under
-    any edited latency constraint.
-    """
-
-    def __init__(self) -> None:
-        self.records: List[Dict[str, Any]] = []
-
-    def record_iteration(self, state: SolverState) -> None:
-        """Capture the iteration whose move ``state.trace[-1]`` records."""
-        event = state.trace[-1]
-        record: Dict[str, Any] = {
-            "move": event.move,
-            "target": event.target,
-            "pool": event.pool,
-            "makespan": event.makespan,
-            "area": event.area,
-            "sss": event.scheduling_set_size,
-        }
-        if event.move != "accept":
-            assert state.schedule is not None and state.binding is not None
-            assert state.upper_bounds is not None
-            record["bound_lat"] = dict(state.bound_latencies)
-            if not state.options.blind_refinement:
-                # Q_b depends on schedule/binding/bound latencies only --
-                # none of which the refine/bump move just taken touched --
-                # so recomputing it here yields exactly the set the
-                # refine pass chose from.  ``state.upper_bounds`` still
-                # holds the pre-move values (the bounds pass copies the
-                # WCG's new ones out only next iteration), so the finish
-                # times are the ones the ``W`` threshold actually used.
-                q_b = bound_critical_path(
-                    state.graph,
-                    state.schedule,
-                    state.binding,
-                    state.bound_latencies,
-                )
-                record["qb"] = sorted(q_b)
-                record["finish"] = {
-                    name: state.schedule[name] + state.upper_bounds[name]
-                    for name in sorted(q_b)
-                }
-        self.records.append(record)
-
-
-def forward_state(
-    problem: Problem,
-    options: DPAllocOptions,
-    incremental: bool,
-    records: List[Dict[str, Any]],
-) -> SolverState:
-    """A fresh :class:`SolverState` fast-forwarded through recorded moves.
-
-    Applies each recorded refine/bump without running any pass: the WCG
-    is mutated move-by-move (deterministic -- ``wcg.refine`` returns the
-    same victims the original solve deleted), counters and the trace are
-    rebuilt from the recorded deadline-independent fields, and every
-    pass product is left ``None``/empty so the next ``solve_loop``
-    iteration recomputes them from scratch.  Scratch-vs-incremental
-    byte parity then guarantees the continuation matches a cold solve
-    that took the same moves.
-    """
-    state = SolverState(problem, options, incremental=incremental)
-    for record in records:
-        assert record["move"] != "accept"
-        state.iteration += 1
-        target = record["target"]
-        if record["move"] == "refine":
-            deleted = tuple(state.wcg.refine(target))
-            state.refinements.append(
-                RefinementStep(target, deleted, record["pool"])
-            )
-            state.dirty_cover_kinds.add(state.kind_of[target])
-        else:
-            state.bumps[target] = state.bumps.get(target, 0) + 1
-        state.trace.append(
-            TraceEvent(
-                iteration=state.iteration,
-                move=record["move"],
-                target=target,
-                pool=record["pool"],
-                makespan=int(record["makespan"]),
-                area=float(record["area"]),
-                scheduling_set_size=int(record["sss"]),
-            )
-        )
-    return state
-
-
-def solve_loop(
-    state: SolverState, recorder: Optional[ReplayRecorder] = None
-) -> Datapath:
+def solve_loop(state: SolverState) -> Datapath:
     """Drive the pass pipeline to acceptance (or infeasibility).
 
-    The outer loop of Algorithm DPAlloc, shared by cold solves
-    (:func:`run_pipeline`) and delta-replay continuations
-    (:func:`repro.core.delta`), which enter it with a state
-    fast-forwarded past the verified replay prefix.
+    The outer loop of Algorithm DPAlloc, split out of
+    :func:`run_pipeline` so a caller holding the :class:`SolverState`
+    can read what the solve left behind (its ``ChainCache`` counters,
+    for one).
     """
     while True:
         state.iteration += 1
@@ -744,22 +635,17 @@ def solve_loop(
         if state.feasible:
             state.record_accept()
             _attach_perf(state, pass_ms, cache_base)
-            if recorder is not None:
-                recorder.record_iteration(state)
             return state.to_datapath()
         begin = _now_ms()
         _REFINE.run(state)
         pass_ms[_REFINE.name] = _now_ms() - begin
         _attach_perf(state, pass_ms, cache_base)
-        if recorder is not None:
-            recorder.record_iteration(state)
 
 
 def run_pipeline(
     problem: Problem,
     options: Optional[DPAllocOptions] = None,
     mode: Optional[str] = None,
-    recorder: Optional[ReplayRecorder] = None,
 ) -> Datapath:
     """Run the DPAlloc pass pipeline on a concrete scheduling mode.
 
@@ -771,11 +657,6 @@ def run_pipeline(
             ``None`` resolves via the ``REPRO_SOLVER`` environment
             variable.  Both modes produce byte-identical canonical
             results.
-        recorder: optional :class:`ReplayRecorder` capturing the
-            per-iteration replay records that make this solve a warm
-            base for ``Engine.run_delta`` (see
-            :mod:`repro.core.delta`).  ``None`` (the default) records
-            nothing and adds no per-iteration work.
 
     Raises:
         InfeasibleError: the latency constraint is below the fully
@@ -800,4 +681,4 @@ def run_pipeline(
             iterations=0,
         )
 
-    return solve_loop(state, recorder)
+    return solve_loop(state)

@@ -119,9 +119,13 @@ class SetIterationRule(LintRule):
     ``for``/``async for`` and comprehension iteration, ``list()`` /
     ``tuple()`` / ``iter()`` / ``enumerate()`` / ``map()`` /
     ``filter()`` / ``zip()`` / ``reversed()`` conversion,
-    ``str.join``, ``*``-unpacking, and ``set.pop()`` (removes an
-    *arbitrary* element).  Order-insensitive consumers (``len``,
-    ``sum``, ``min``, ``max``, ``any``, ``all``, ``sorted``, ``set``,
+    ``str.join``, ``*``-unpacking, ``set.pop()`` (removes an
+    *arbitrary* element), and ``min``/``max`` with a ``key=`` (of
+    tied keys they return the first in iteration order) -- unless the
+    key is a lambda whose body is a tuple ending in its own parameter,
+    the name tie-break that makes every key distinct.
+    Order-insensitive consumers (``len``, ``sum``, ``min``/``max``
+    without a key, ``any``, ``all``, ``sorted``, ``set``,
     ``frozenset``, membership tests) are fine.
 
     The inference is per-scope and syntactic: literals, ``set()`` /
@@ -282,6 +286,32 @@ class SetIterationRule(LintRule):
             )
         return False
 
+    @staticmethod
+    def _tie_order_sensitive(call: ast.Call) -> bool:
+        """``min``/``max`` with a key that two elements may share.
+
+        A lambda whose body is a tuple ending in its own parameter
+        (``key=lambda n: (start[n], n)``) gives distinct elements
+        distinct keys, so the pick is order-free.
+        """
+        if not (
+            isinstance(call.func, ast.Name) and call.func.id in ("min", "max")
+        ):
+            return False
+        key = next((kw.value for kw in call.keywords if kw.arg == "key"), None)
+        if key is None:
+            return False
+        if (
+            isinstance(key, ast.Lambda)
+            and len(key.args.args) == 1
+            and isinstance(key.body, ast.Tuple)
+            and key.body.elts
+        ):
+            last = key.body.elts[-1]
+            if isinstance(last, ast.Name) and last.id == key.args.args[0].arg:
+                return False
+        return True
+
     # -- the per-scope checker -----------------------------------------
     def _check_scope(
         self,
@@ -340,12 +370,24 @@ class SetIterationRule(LintRule):
                              "comprehension over an unordered container")
             elif isinstance(node, ast.Call):
                 func = node.func
-                if isinstance(func, ast.Name) and func.id in self._ORDER_SAFE:
+                tied = self._tie_order_sensitive(node)
+                if (
+                    isinstance(func, ast.Name)
+                    and func.id in self._ORDER_SAFE
+                    and not tied
+                ):
                     for arg in node.args:
                         if isinstance(arg, (ast.ListComp, ast.GeneratorExp,
                                             ast.SetComp, ast.DictComp)):
                             exempt.add(id(arg))
                 if (
+                    tied
+                    and isinstance(func, ast.Name)
+                    and any(setlike(arg) for arg in node.args)
+                ):
+                    flag(node, f"{func.id}(key=...) returns the first of "
+                               f"tied keys in arbitrary order")
+                elif (
                     isinstance(func, ast.Name)
                     and func.id in self._ITER_SINKS
                     and any(setlike(arg) for arg in node.args)
@@ -635,8 +677,9 @@ class AsyncBlockingRule(LintRule):
     ``subprocess.run/call/check_call/check_output/Popen``,
     ``os.system``/``os.popen``, ``urllib.request.urlopen``,
     ``socket.create_connection``, and synchronous engine entry points
-    (``<...>engine.run`` / ``run_batch`` / ``run_many``) -- route
-    those through ``AsyncEngine`` or ``loop.run_in_executor``.  A call
+    (``<...>engine.run`` / ``run_batch`` / ``run_delta`` / ``stats``)
+    -- route those through ``AsyncEngine`` or ``loop.run_in_executor``
+    (``AsyncEngine.stats`` rescans the cache manifest).  A call
     that is provably bounded takes
     ``# reprolint: disable=RL004(reason)``.
     """
@@ -656,7 +699,7 @@ class AsyncBlockingRule(LintRule):
     _BLOCKING_METHODS = {
         "read_text", "write_text", "read_bytes", "write_bytes",
     }
-    _ENGINE_METHODS = {"run", "run_batch", "run_many"}
+    _ENGINE_METHODS = {"run", "run_batch", "run_delta", "stats"}
 
     def check_module(self, module: ModuleSource) -> Iterable[Finding]:
         findings: List[Finding] = []

@@ -34,10 +34,9 @@ Scaling surfaces on top of the engine:
 * ``Engine(cache_dir=..., cache_max_mb=...)`` -- result-cache lifecycle
   (manifest, ``cache_stats()``, LRU eviction;
   :mod:`repro.engine.cache`);
-* ``Engine.run_delta(DeltaRequest(...))`` -- warm-start re-solves of
-  edited problems by verified replay of a recorded base solve
-  (:mod:`repro.engine.replay`, :mod:`repro.core.delta`), canonical-byte
-  identical to a cold solve.
+* ``Engine.run_delta(DeltaRequest(...))`` -- solves of edited
+  problems (the edit model is :mod:`repro.core.delta`): the edits are
+  applied to the base and the result runs like any other request.
 """
 
 from .backend import Backend

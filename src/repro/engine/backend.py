@@ -48,7 +48,7 @@ class Backend(Protocol):
         ...  # pragma: no cover -- protocol
 
     def run_delta(self, request: DeltaRequest) -> AllocationResult:
-        """Warm-start re-solve of an edited problem."""
+        """Solve a base problem with an edit sequence applied."""
         ...  # pragma: no cover -- protocol
 
     def run_batch(

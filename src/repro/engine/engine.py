@@ -14,7 +14,9 @@ objects -- singly (:meth:`Engine.run`) or in deterministic batches
   completion order;
 * an optional on-disk cache keyed by ``Problem.fingerprint()`` plus the
   strategy name and options makes repeated sweeps (experiments,
-  benchmarks, CI) cheap.
+  benchmarks, CI) cheap;
+* :meth:`Engine.run_delta` applies an edit sequence to a base problem
+  and runs the edited problem like any other request.
 
 The envelope of a run is deterministic: serial, pooled and cached
 executions of the same request produce byte-for-byte identical
@@ -28,11 +30,13 @@ import hashlib
 import json
 import threading
 import time
+from dataclasses import replace
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Union
 
 from ..analysis.validate import ValidationError, validate_datapath
-from ..core.problem import InfeasibleError
+from ..core.delta import apply_edits
+from ..core.problem import InfeasibleError, Problem
 from ..core.solution import Datapath
 from .registry import get_allocator
 from .results import AllocationRequest, AllocationResult, DeltaRequest
@@ -144,7 +148,28 @@ def _error_result(request: AllocationRequest, exc: BaseException) -> AllocationR
     )
 
 
+def _delta_error(
+    request: DeltaRequest, message: str, began: float, meta: Dict[str, Any]
+) -> AllocationResult:
+    """Error envelope of a delta that never reached a solve."""
+    return AllocationResult(
+        allocator="dpalloc",
+        datapath=None,
+        seconds=time.perf_counter() - began,
+        iterations=0,
+        valid=None,
+        error=message,
+        extras={},
+        label=request.label,
+        delta={**meta, "strategy": "error"},
+    )
+
+
 EXECUTORS = ("pool", "process")
+
+# Entry bound of the engine's in-memory store of delta base problems.
+# FIFO: a long interactive session forgets its oldest bases first.
+BASE_MEMORY_BOUND = 256
 
 
 def content_key_from_fingerprint(
@@ -153,9 +178,9 @@ def content_key_from_fingerprint(
     """Content hash of ``(problem fingerprint, allocator, options)``.
 
     The fingerprint-keyed half of :func:`request_content_key`, split
-    out so delta solves -- which name their base by fingerprint alone
-    -- can compute the identical key without holding the
-    :class:`Problem`.  ``None`` when the options are not
+    out so the fleet coordinator -- which sees a request's claimed
+    fingerprint but never parses its :class:`Problem` -- can compute
+    the identical key.  ``None`` when the options are not
     JSON-serialisable.
     """
     try:
@@ -189,6 +214,13 @@ def versioned_content_key(content: Optional[str]) -> Optional[str]:
     return hashlib.sha256(
         f"{content}:{__version__}".encode("utf-8")
     ).hexdigest()
+
+
+def _base_key(fingerprint: str) -> str:
+    """Cache key of a stored delta base; never an envelope's key."""
+    key = versioned_content_key(f"delta-base:{fingerprint}")
+    assert key is not None
+    return key
 
 
 def request_content_key(request: AllocationRequest) -> Optional[str]:
@@ -279,12 +311,12 @@ class Engine:
         # from many worker threads against one shared engine.
         self.executor_stats: Dict[str, int] = {}
         self._stats_lock = threading.Lock()
-        # Replay artifacts for run_delta when no cache_dir is
-        # configured: a small bounded in-memory store (see
-        # repro.engine.replay).  With a cache_dir, artifacts live in
-        # the ResultCache alongside the envelopes they warm-start.
-        self._replay_memory: Dict[str, Dict[str, Any]] = {}
-        self._replay_lock = threading.Lock()
+        # Base problems of run_delta, by fingerprint, so a later delta
+        # may name its base by fingerprint alone.  Bounded and in
+        # memory; with a cache_dir each base is also one ResultCache
+        # entry, which outlives the engine.
+        self._bases: Dict[str, Problem] = {}
+        self._bases_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # cache lifecycle
@@ -392,29 +424,102 @@ class Engine:
         return result
 
     def run_delta(self, request: DeltaRequest) -> AllocationResult:
-        """Warm-start re-solve of an edited problem.
+        """Solve an edited problem: a :meth:`run` of the edited request.
 
-        Applies ``request.edits`` to the base problem (named by
-        fingerprint or carried inline) and solves the edited problem by
-        replaying the base solve's recorded iteration stream as far as
-        the edits allow -- full replay for edits the recorded accept
-        still satisfies, resumption from the verified prefix when the
-        new deadline flips a feasibility check or shifts a refinement
-        choice, and a scratch solve for edits whose footprint dirties
-        the solver's reuse channels (wordlength/constraint edits) or on
-        any detected divergence.
+        Resolves the base problem -- ``request.base_problem``, else the
+        one this engine stored under ``request.base_fingerprint`` --
+        applies ``request.edits`` (:func:`repro.core.delta.apply_edits`)
+        and runs the edited problem as a ``dpalloc`` request.  A delta
+        therefore gets the result cache and the executor (a killable
+        process under ``executor="process"``), and its canonical bytes
+        are those of a cold solve by construction.  Both the base and
+        the edited problem are stored, so a later delta (or a chain of
+        them) may name either by fingerprint.
 
-        The returned envelope is canonical-byte identical to what a
-        cold :meth:`run` of the edited problem would produce; the
-        strategy taken and the verified/resumed iteration counts ride
-        in its non-canonical ``delta`` field.  Errors (unknown base
-        fingerprint, invalid edits) come back as error envelopes, never
-        exceptions.  Always executed in-process: a delta solve is
-        expected to be far cheaper than a cold one.
+        The non-canonical ``delta`` field of the envelope carries
+        ``base_fingerprint``, the number of ``edits`` and a
+        ``strategy``: ``noop`` (the edits leave the base unchanged),
+        ``cache`` (a result-cache hit), ``scratch`` (a fresh solve) or
+        ``error``.  An unknown base fingerprint or an invalid edit comes
+        back as an error envelope, never an exception.
         """
-        from .replay import run_delta as _run_delta
+        began = time.perf_counter()
+        base_fp = request.fingerprint()
+        meta: Dict[str, Any] = {
+            "base_fingerprint": base_fp,
+            "edits": len(request.edits),
+        }
+        base = request.base_problem
+        if base is None:
+            base = self._recall_base(base_fp)
+        if base is None:
+            return _delta_error(
+                request,
+                f"delta: no stored base problem {base_fp} "
+                "(supply base_problem)",
+                began,
+                meta,
+            )
+        try:
+            edited = apply_edits(base, request.edits)
+        except (KeyError, TypeError, ValueError) as exc:
+            return _delta_error(
+                request, f"delta: {type(exc).__name__}: {exc}", began, meta
+            )
+        self._remember_base(base)
+        self._remember_base(edited)
+        result = self.run(AllocationRequest(
+            problem=edited,
+            allocator="dpalloc",
+            options=request.options,
+            label=request.label,
+        ))
+        if edited.fingerprint() == base_fp:
+            strategy = "noop"
+        elif result.cached:
+            strategy = "cache"
+        else:
+            strategy = "scratch"
+        return replace(result, delta={**meta, "strategy": strategy})
 
-        return _run_delta(self, request)
+    def _remember_base(self, problem: Problem) -> None:
+        """Store ``problem`` as a delta base under its fingerprint."""
+        fingerprint = problem.fingerprint()
+        with self._bases_lock:
+            if fingerprint in self._bases:
+                return
+            self._bases[fingerprint] = problem
+            while len(self._bases) > BASE_MEMORY_BOUND:
+                self._bases.pop(next(iter(self._bases)))
+        if self._cache is not None:
+            from .. import __version__
+            from ..io.json_io import problem_to_dict
+
+            self._cache.write(
+                _base_key(fingerprint),
+                json.dumps(problem_to_dict(problem), sort_keys=True),
+                version=__version__,
+            )
+
+    def _recall_base(self, fingerprint: str) -> Optional[Problem]:
+        """The base stored under ``fingerprint``; ``None`` if unknown."""
+        with self._bases_lock:
+            problem = self._bases.get(fingerprint)
+        if problem is not None or self._cache is None:
+            return problem
+        key = _base_key(fingerprint)
+        text = self._cache.read(key)
+        if text is None:
+            return None
+        from ..io.json_io import problem_from_dict
+
+        try:
+            # problem_from_dict checks the payload's kind.
+            return problem_from_dict(json.loads(text))
+        except Exception:  # noqa: BLE001 -- a corrupt or foreign entry
+            # is a miss; the next delta that carries the base rewrites it.
+            self._cache.invalidate(key)
+            return None
 
     def _run_preemptive(
         self, requests: Sequence[AllocationRequest], workers: int

@@ -103,19 +103,18 @@ class AllocationRequest:
 
 @dataclass(frozen=True)
 class DeltaRequest:
-    """One warm-start re-solve: a base problem plus an edit sequence.
+    """One re-solve of an edited problem: a base plus an edit sequence.
 
     Consumed by :meth:`repro.engine.Engine.run_delta` (and served as
-    ``POST /delta``).  The base is named either by its
-    ``Problem.fingerprint()`` -- enough when the engine already holds a
-    replay artifact for it -- or by the full :class:`Problem`, which
-    additionally lets the engine *prime* the artifact with one recorded
-    cold solve on first contact.
+    ``POST /v1/delta``).  The base is named either by its
+    ``Problem.fingerprint()`` -- enough when the engine already stored
+    that base -- or by the full :class:`Problem`, which the engine then
+    stores for later fingerprint-only requests.
 
     Attributes:
         edits: the :data:`repro.core.delta.Edit` sequence, applied in
             order to the base problem.  An empty sequence is a valid
-            no-op request (used to prime an artifact).
+            no-op request (it solves and stores the base).
         base_problem: the base problem instance, when the caller has it.
         base_fingerprint: ``Problem.fingerprint()`` of the base; derived
             from ``base_problem`` when omitted.
@@ -167,11 +166,11 @@ class AllocationResult:
             optimality flags, ...), JSON-compatible.
         label: echo of the request label.
         cached: the envelope was served from the engine's result cache.
-        delta: warm-start provenance of a ``run_delta`` envelope
-            (strategy taken, verified/resumed iteration counts); ``None``
-            for ordinary runs.  Non-canonical, like ``seconds`` and
-            ``cached``: a delta solve's canonical bytes are required
-            identical to a cold solve's, which never carries this field.
+        delta: provenance of a ``run_delta`` envelope (base
+            fingerprint, edit count, strategy); ``None`` for ordinary
+            runs.  Non-canonical, like ``seconds`` and ``cached``: a
+            delta solve's canonical bytes are identical to a cold
+            solve's, which never carries this field.
     """
 
     allocator: str

@@ -4,18 +4,17 @@ Nodes are operation names; every node carries an :class:`~repro.ir.ops.Operation
 Directed edges are data dependencies: an edge ``(o1, o2)`` means ``o2``
 consumes the result of ``o1`` and may only start once ``o1`` completes.
 
-The class wraps a :class:`networkx.DiGraph` and offers the schedule
-primitives the allocation algorithms need: ASAP / ALAP times for an
-arbitrary per-operation latency assignment, critical-path length, and the
-minimum feasible overall latency ``lambda_min`` used throughout the
-paper's evaluation.
+The class holds its own adjacency and offers the schedule primitives
+the allocation algorithms need: ASAP / ALAP times for an arbitrary
+per-operation latency assignment, critical-path length, and the minimum
+feasible overall latency ``lambda_min`` used throughout the paper's
+evaluation.
 """
 
 from __future__ import annotations
 
+import heapq
 from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
-
-import networkx as nx
 
 from .ops import Operation
 
@@ -32,20 +31,17 @@ class SequencingGraph:
     """A DAG of :class:`Operation` nodes with data-dependency edges."""
 
     def __init__(self) -> None:
-        self._g = nx.DiGraph()
         self._ops: Dict[str, Operation] = {}
-        # Derived-structure caches, invalidated on mutation.  The solver
-        # pipeline asks for the topological order and sorted
-        # neighbourhoods once per iteration on a graph that never
-        # changes mid-solve, so these keep networkx off the hot path.
-        self._topo_cache: Optional[Tuple[str, ...]] = None
-        self._pred_cache: Dict[str, Tuple[str, ...]] = {}
-        self._succ_cache: Dict[str, Tuple[str, ...]] = {}
-
-    def _invalidate_caches(self) -> None:
-        self._topo_cache = None
-        self._pred_cache.clear()
-        self._succ_cache.clear()
+        # Each producer's consumers in the order their edges were added.
+        # edges() walks these in operation order: the order
+        # Problem.fingerprint() hashes, so it must never change.
+        self._out: Dict[str, List[str]] = {}
+        # Sorted neighbour tuples, kept current by add_dependency.
+        self._preds: Dict[str, Tuple[str, ...]] = {}
+        self._succs: Dict[str, Tuple[str, ...]] = {}
+        # The topological order, built on first use after a mutation:
+        # the solver asks for it every iteration of a fixed graph.
+        self._topo: Optional[Tuple[str, ...]] = None
 
     # ------------------------------------------------------------------
     # construction
@@ -55,8 +51,10 @@ class SequencingGraph:
         if op.name in self._ops:
             raise ValueError(f"duplicate operation name {op.name!r}")
         self._ops[op.name] = op
-        self._g.add_node(op.name)
-        self._invalidate_caches()
+        self._out[op.name] = []
+        self._preds[op.name] = ()
+        self._succs[op.name] = ()
+        self._topo = None
         return op
 
     def add(self, name: str, kind: str, operand_widths: Iterable[int]) -> Operation:
@@ -70,11 +68,27 @@ class SequencingGraph:
                 raise KeyError(f"unknown operation {name!r}")
         if producer == consumer:
             raise CycleError(f"self-dependency on {producer!r}")
-        self._g.add_edge(producer, consumer)
-        if not nx.is_directed_acyclic_graph(self._g):
-            self._g.remove_edge(producer, consumer)
+        if consumer in self._succs[producer]:
+            return
+        if self._reaches(consumer, producer):
             raise CycleError(f"edge {producer!r}->{consumer!r} creates a cycle")
-        self._invalidate_caches()
+        self._out[producer].append(consumer)
+        self._succs[producer] = tuple(sorted(self._succs[producer] + (consumer,)))
+        self._preds[consumer] = tuple(sorted(self._preds[consumer] + (producer,)))
+        self._topo = None
+
+    def _reaches(self, source: str, target: str) -> bool:
+        """True when a dependency path leads from ``source`` to ``target``."""
+        stack = [source]
+        seen = {source}
+        while stack:
+            for successor in self._succs[stack.pop()]:
+                if successor == target:
+                    return True
+                if successor not in seen:
+                    seen.add(successor)
+                    stack.append(successor)
+        return False
 
     # ------------------------------------------------------------------
     # inspection
@@ -101,54 +115,57 @@ class SequencingGraph:
         return self._ops[name]
 
     def edges(self) -> Tuple[Tuple[str, str], ...]:
-        """Data-dependency edges as (producer, consumer) name pairs."""
-        return tuple(self._g.edges())
+        """Data-dependency edges as (producer, consumer) name pairs.
+
+        Producers in insertion order, each one's consumers in the order
+        their edges were added.
+        """
+        return tuple(
+            (producer, consumer)
+            for producer, consumers in self._out.items()
+            for consumer in consumers
+        )
 
     def predecessors(self, name: str) -> List[str]:
-        cached = self._pred_cache.get(name)
-        if cached is None:
-            if name not in self._ops:
-                raise nx.NetworkXError(
-                    f"The node {name} is not in the digraph."
-                )
-            cached = tuple(sorted(self._g.predecessors(name)))
-            self._pred_cache[name] = cached
-        return list(cached)
+        """The producers ``name`` consumes, sorted; ``KeyError`` if unknown."""
+        return list(self._preds[name])
 
     def successors(self, name: str) -> List[str]:
-        cached = self._succ_cache.get(name)
-        if cached is None:
-            if name not in self._ops:
-                raise nx.NetworkXError(
-                    f"The node {name} is not in the digraph."
-                )
-            cached = tuple(sorted(self._g.successors(name)))
-            self._succ_cache[name] = cached
-        return list(cached)
+        """The consumers of ``name``, sorted; ``KeyError`` if unknown."""
+        return list(self._succs[name])
 
     def sources(self) -> List[str]:
-        return sorted(n for n in self._g.nodes if self._g.in_degree(n) == 0)
+        return sorted(n for n in self._ops if not self._preds[n])
 
     def sinks(self) -> List[str]:
-        return sorted(n for n in self._g.nodes if self._g.out_degree(n) == 0)
+        return sorted(n for n in self._ops if not self._succs[n])
 
     def topological_order(self) -> List[str]:
-        """Deterministic topological ordering (lexicographic tie-break)."""
-        if self._topo_cache is None:
-            self._topo_cache = tuple(
-                nx.lexicographical_topological_sort(self._g)
-            )
-        return list(self._topo_cache)
+        """Deterministic topological ordering (lexicographic tie-break).
 
-    def to_networkx(self) -> nx.DiGraph:
-        """A copy of the underlying dependency DiGraph."""
-        return self._g.copy()
+        Kahn's algorithm over a heap of ready names: of all topological
+        orders, the lexicographically smallest.
+        """
+        if self._topo is None:
+            waiting = {name: len(preds) for name, preds in self._preds.items()}
+            ready = [name for name, count in waiting.items() if count == 0]
+            heapq.heapify(ready)
+            order: List[str] = []
+            while ready:
+                name = heapq.heappop(ready)
+                order.append(name)
+                for successor in self._succs[name]:
+                    waiting[successor] -= 1
+                    if waiting[successor] == 0:
+                        heapq.heappush(ready, successor)
+            self._topo = tuple(order)
+        return list(self._topo)
 
     def copy(self) -> "SequencingGraph":
         clone = SequencingGraph()
         for op in self.operations:
             clone.add_operation(op)
-        for u, v in self._g.edges():
+        for u, v in self.edges():
             clone.add_dependency(u, v)
         return clone
 
@@ -168,7 +185,7 @@ class SequencingGraph:
         self._check_latencies(latency)
         start: Dict[str, int] = {}
         for name in self.topological_order():
-            preds = self._g.predecessors(name)
+            preds = self._preds[name]
             start[name] = max((start[p] + latency[p] for p in preds), default=0)
         return start
 
@@ -187,7 +204,7 @@ class SequencingGraph:
             deadline = self.makespan(asap, latency)
         start: Dict[str, int] = {}
         for name in reversed(self.topological_order()):
-            succs = list(self._g.successors(name))
+            succs = self._succs[name]
             finish = min((start[s] for s in succs), default=deadline)
             start[name] = finish - latency[name]
         return start
@@ -216,13 +233,8 @@ class SequencingGraph:
         latency = {op.name: min_latency_of(op) for op in self.operations}
         return self.critical_path_length(latency)
 
-    def validate(self) -> None:
-        """Raise if the graph is not a DAG (defensive; edges are checked on add)."""
-        if not nx.is_directed_acyclic_graph(self._g):
-            raise CycleError("sequencing graph contains a cycle")
-
     def __repr__(self) -> str:
         return (
             f"SequencingGraph(|O|={len(self._ops)}, "
-            f"|S|={self._g.number_of_edges()})"
+            f"|S|={sum(len(out) for out in self._out.values())})"
         )

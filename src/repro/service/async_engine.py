@@ -127,14 +127,14 @@ class AsyncEngine:
         return list(await asyncio.gather(*(self.run(r) for r in requests)))
 
     async def run_delta(self, request: DeltaRequest) -> AllocationResult:
-        """Execute one warm-start delta solve without blocking the loop.
+        """Execute one delta solve without blocking the loop.
 
-        Shares the concurrency bound, worker pool and latency window
-        with ordinary runs, but is *not* single-flighted: delta solves
-        are expected to be cheap (that is their point), and the
-        replay-artifact store they read and write is already shared
-        through the engine, so collapsing identical requests would buy
-        little and complicate the flight keying.
+        Shares the concurrency bound, worker pool, latency window and
+        the engine's executor with ordinary runs.  It is *not*
+        single-flighted: the edited problem, whose content would key
+        the flight, is known only once the engine has resolved the
+        base on a worker thread; the engine's result cache still
+        serves a repeated edit.
         """
         self._requests_total += 1
         return await self._submit(self.engine.run_delta, request)

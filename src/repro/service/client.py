@@ -164,12 +164,12 @@ class ServiceClient:
         return allocation_result_from_dict(payload)
 
     def run_delta(self, request: DeltaRequest) -> AllocationResult:
-        """``POST /v1/delta``: warm-start re-solve of an edited problem.
+        """``POST /v1/delta``: solve an edited problem on the server.
 
         The returned envelope is canonical-byte identical to a cold
         :meth:`run` of the edited problem; the strategy the server
-        took (``replay``/``resumed``/``diverged``/``scratch``/...) rides
-        in its non-canonical ``delta`` field.
+        took (``noop``/``cache``/``scratch``/``error``) rides in its
+        non-canonical ``delta`` field.
         """
         body = delta_request_to_dict(request)
         body["schema_version"] = SCHEMA_VERSION

@@ -28,7 +28,7 @@ Four mechanisms, in request order:
 * **Fingerprint routing** -- rendezvous (highest-random-weight) hashing
   of the routing key over the healthy workers, so one worker's death
   only remaps that worker's keys and repeated solves of one problem
-  keep landing where the caches (result cache, delta replay artifacts)
+  keep landing where the caches (result cache, stored delta bases)
   are already warm.
 * **Health + requeue** -- a background probe loop marks workers
   dead/alive; a forward that fails at the transport level (connection
@@ -675,10 +675,10 @@ class FleetCoordinator(HttpServerBase):
         if not isinstance(data, dict):
             raise HttpError(400, "delta-request body must be a JSON object")
         cls = self._class_of(data)
-        # Route by the base fingerprint so one base problem's delta
-        # solves keep hitting the worker whose replay artifact is
-        # already primed.  Deltas are not memoised (they are cheap by
-        # design and their envelopes depend on the edit chain).
+        # Route by the base fingerprint, so one base problem's deltas
+        # keep reaching the worker that stored that base (and cached
+        # its solves).  Deltas are not memoised here: the edited
+        # problem they solve is known only to the worker.
         routing_key = (
             data.get("fingerprint")
             or data.get("base_fingerprint")

@@ -14,8 +14,8 @@ over five endpoints, versioned under ``/v1``:
 * ``POST /v1/delta`` -- body: one ``delta-request`` payload (base
   problem or fingerprint plus an edit sequence); response: one
   ``allocation-result`` envelope, canonical-byte identical to a cold
-  ``/v1/allocate`` of the edited problem, with the warm-start strategy
-  in its non-canonical ``delta`` field;
+  ``/v1/allocate`` of the edited problem, with the delta strategy in
+  its non-canonical ``delta`` field;
 * ``GET /v1/healthz`` -- liveness + version + supported
   ``schema_versions``;
 * ``GET /v1/stats`` -- cache hit rate, in-flight/queued counts,

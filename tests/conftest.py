@@ -5,6 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro import Problem
+from repro.core.delta import ConstraintEdit, DeadlineEdit, WordlengthEdit, apply_edits
+from repro.engine import AllocationRequest, DeltaRequest, Engine, execute_request
 from repro.ir.seqgraph import SequencingGraph
 from repro.resources.area import SonicAreaModel
 from repro.resources.latency import SonicLatencyModel
@@ -56,6 +58,53 @@ def parallel_muls_graph() -> SequencingGraph:
     g.add("p2", "mul", (12, 12))
     g.add("p3", "mul", (6, 4))
     return g
+
+
+def delta_parity_requests(problem: Problem):
+    """Delta requests over ``problem`` for the served == offline checks.
+
+    A no-op, each edit kind, an infeasible tightening, an invalid edit
+    and an unknown base fingerprint; each is labelled by its case.
+    """
+    lam = problem.latency_constraint
+    mul = next(op.name for op in problem.graph.operations if op.kind == "mul")
+    cases = {
+        "noop": (),
+        "deadline": (DeadlineEdit(lam + 1),),
+        "wordlength": (WordlengthEdit(mul, (6, 6)),),
+        "constraint": (ConstraintEdit("mul", 1),),
+        "infeasible": (DeadlineEdit(2),),
+        "bad-edit": (WordlengthEdit("ghost", (8, 8)),),
+    }
+    requests = [
+        DeltaRequest(edits=edits, base_problem=problem, label=label)
+        for label, edits in cases.items()
+    ]
+    requests.append(DeltaRequest(
+        edits=(DeadlineEdit(lam + 1),),
+        base_fingerprint="0" * 64,
+        label="unknown-base",
+    ))
+    return requests
+
+
+def cold_delta_canonical(request: DeltaRequest) -> str:
+    """The canonical bytes a delta envelope must have.
+
+    A cold solve of the edited problem; where there is nothing to solve
+    (an unknown base, an invalid edit), a fresh engine's error envelope.
+    """
+    if request.base_problem is not None:
+        try:
+            edited = apply_edits(request.base_problem, request.edits)
+        except (KeyError, ValueError):
+            pass
+        else:
+            return execute_request(AllocationRequest(
+                edited, "dpalloc", options=dict(request.options),
+                label=request.label,
+            )).canonical_json()
+    return Engine().run_delta(request).canonical_json()
 
 
 def make_problem(graph: SequencingGraph, relaxation: float = 0.0) -> Problem:

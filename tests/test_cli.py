@@ -28,7 +28,7 @@ class TestAllocate:
         assert "method         : dpalloc" in out
         assert "unit 0:" in out
 
-    @pytest.mark.parametrize("method", ["ilp", "two-stage", "clique-sort"])
+    @pytest.mark.parametrize("method", ["ilp", "two-stage", "clique-sort", "fds"])
     def test_methods(self, method, capsys):
         assert main(["allocate", "dct4", "--relax", "0.5", "--method", method]) == 0
         assert "unit 0:" in capsys.readouterr().out
@@ -80,6 +80,37 @@ class TestAllocate:
             "--verilog", str(tmp_path / "x.v"),
         ])
         assert code == 1
+
+
+class TestDelta:
+    @pytest.mark.parametrize("edits", [
+        [],
+        ["latency=12"],
+        ["width:mul2=6,6"],
+        ["limit:mul=2"],
+        ["latency=40", "limit:mul=1"],
+    ], ids=["noop", "deadline", "wordlength", "constraint", "two-edits"])
+    def test_envelope_matches_cold_solve(self, edits, tmp_path, capsys):
+        from repro.cli import _build_problem, _parse_edit
+        from repro.core.delta import apply_edits
+        from repro.engine import AllocationRequest, execute_request
+
+        out = tmp_path / "delta.json"
+        argv = ["delta", "fir", "--relax", "0.2", "--json", str(out)]
+        for edit in edits:
+            argv += ["--edit", edit]
+        assert main(argv) == 0
+        assert "delta strategy: " in capsys.readouterr().out
+        served = allocation_result_from_dict(load_json(out))
+        edited = apply_edits(
+            _build_problem("fir", 0.2, None), [_parse_edit(e) for e in edits]
+        )
+        cold = execute_request(AllocationRequest(edited, "dpalloc"))
+        assert served.canonical_json() == cold.canonical_json()
+
+    def test_infeasible_edit_exits_1(self, capsys):
+        assert main(["delta", "fir", "--relax", "0.2", "--edit", "latency=2"]) == 1
+        assert "delta (scratch): infeasible" in capsys.readouterr().err
 
 
 class TestTrace:

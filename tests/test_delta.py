@@ -1,11 +1,9 @@
-"""Warm-start delta solves: edit model, replay artifacts, strategies.
+"""Delta solves: the edit model, the stored bases, the strategies.
 
 The parity contract -- every ``Engine.run_delta`` envelope is
 canonical-byte identical to a cold solve of the edited problem -- is
-asserted on every strategy the engine can take (``noop``, ``replay``,
-``resumed``, ``diverged``, ``scratch``, ``cache``), on deterministic
-``build_case`` problems chosen so each strategy is actually reached
-(the randomized sweep lives in ``test_delta_fuzz.py``).
+asserted on every strategy the engine reports (``noop``, ``cache``,
+``scratch``) and on its error envelopes.
 """
 
 from __future__ import annotations
@@ -19,24 +17,20 @@ from repro.core.delta import (
     DeadlineEdit,
     WordlengthEdit,
     apply_edits,
-    edit_footprint,
-    edits_footprint,
 )
-from repro.core.solver import REUSE_CHANNELS
 from repro.engine import (
     AllocationRequest,
     DeltaRequest,
     Engine,
     execute_request,
 )
-from repro.engine.replay import REPLAY_KIND, REPLAY_SCHEMA, replay_key
+from repro.engine.engine import _base_key
 from repro.experiments.common import build_case
 from repro.io import (
     delta_request_from_dict,
     delta_request_to_dict,
     edit_from_dict,
     edit_to_dict,
-    problem_to_dict,
 )
 
 
@@ -48,7 +42,7 @@ def cold_canonical(problem, options=None):
 
 
 def run_warm(engine, base, edits, options=None):
-    """Prime-or-reuse delta step; returns (envelope, strategy)."""
+    """One delta that carries its base; returns (envelope, strategy)."""
     result = engine.run_delta(DeltaRequest(
         edits=tuple(edits), base_problem=base, options=dict(options or {})
     ))
@@ -126,37 +120,6 @@ class TestEditModel:
         with pytest.raises(TypeError):
             apply_edits(problem, ("latency=12",))  # type: ignore[arg-type]
 
-    def test_deadline_footprint_is_replayable(self, chain_graph):
-        from repro.core.problem import Problem
-
-        problem = Problem(chain_graph, latency_constraint=30)
-        footprint = edit_footprint(DeadlineEdit(12), problem)
-        assert footprint.deadline
-        assert footprint.replayable
-        assert footprint.dirtied_channels() == frozenset()
-
-    def test_content_footprints_dirty_all_wcg_channels(self, chain_graph):
-        from repro.core.problem import Problem
-
-        problem = Problem(chain_graph, latency_constraint=30)
-        for edit in (WordlengthEdit("m0", (6, 6)), ConstraintEdit("mul", 1)):
-            footprint = edit_footprint(edit, problem)
-            assert not footprint.replayable
-            assert footprint.dirtied_channels() == frozenset(
-                REUSE_CHANNELS["wcg"]
-            )
-
-    def test_union_footprint_is_sticky(self, chain_graph):
-        from repro.core.problem import Problem
-
-        problem = Problem(chain_graph, latency_constraint=30)
-        footprint = edits_footprint(
-            (DeadlineEdit(12), WordlengthEdit("m0", (6, 6))), problem
-        )
-        assert footprint.deadline
-        assert footprint.ops == frozenset({"m0"})
-        assert not footprint.replayable
-
 
 class TestEditSerialization:
     @pytest.mark.parametrize("edit", [
@@ -222,7 +185,6 @@ class TestRunDeltaStrategies:
         engine = Engine()
         result, strategy = run_warm(engine, problem, ())
         assert strategy == "noop"
-        assert (result.delta or {}).get("primed") is True
         assert result.canonical_json() == cold_canonical(problem)
 
     def test_same_deadline_edit_is_noop(self):
@@ -233,47 +195,22 @@ class TestRunDeltaStrategies:
             engine, problem, (DeadlineEdit(problem.latency_constraint),)
         )
         assert strategy == "noop"
-        assert (result.delta or {}).get("primed") is None
+        assert result.canonical_json() == cold_canonical(problem)
 
-    def test_full_replay_reuses_base_envelope(self):
-        # lambda=28 but the solve converges to makespan 25 in 12
-        # iterations: tightening to 27 leaves every recorded move (and
-        # the final accept) valid, so the base datapath is provably the
-        # cold answer and no pipeline iteration re-runs.
-        problem = build_case(12, 1, 0.3).problem
+    @pytest.mark.parametrize("ops,sample,relax,deadline", [
+        (12, 1, 0.3, 27),    # tightened; the base solve still meets it
+        (16, 3, 0.2, None),  # relaxed by one step
+        (16, 3, 0.0, 38),    # relaxed past a changed refinement choice
+    ], ids=["tighten-to-27", "relax-by-one", "relax-to-38"])
+    def test_deadline_edit_matches_cold(self, ops, sample, relax, deadline):
+        problem = build_case(ops, sample, relax).problem
+        if deadline is None:
+            deadline = problem.latency_constraint + 1
         engine = Engine()
         run_warm(engine, problem, ())
-        result, strategy = run_warm(engine, problem, (DeadlineEdit(27),))
-        assert strategy == "replay"
-        meta = result.delta or {}
-        assert meta["resumed_iterations"] == 0
-        assert meta["verified_iterations"] == 12
-        edited = problem.with_latency_constraint(27)
-        assert result.canonical_json() == cold_canonical(edited)
-
-    def test_relaxed_deadline_resumes_at_early_accept(self):
-        problem = build_case(16, 3, 0.2).problem
-        engine = Engine()
-        run_warm(engine, problem, ())
-        lam = problem.latency_constraint
-        result, strategy = run_warm(engine, problem, (DeadlineEdit(lam + 1),))
-        assert strategy == "resumed"
-        edited = problem.with_latency_constraint(lam + 1)
-        assert result.canonical_json() == cold_canonical(edited)
-
-    def test_divergence_detected_and_resolved(self):
-        # Relaxing lambda 37 -> 38 shifts the W candidate pool at
-        # iteration 7: the walk catches the refine choice deviating and
-        # re-solves from the 6-iteration verified prefix.
-        problem = build_case(16, 3, 0.0).problem
-        engine = Engine()
-        run_warm(engine, problem, ())
-        result, strategy = run_warm(engine, problem, (DeadlineEdit(38),))
-        assert strategy == "diverged"
-        meta = result.delta or {}
-        assert meta["verified_iterations"] == 6
-        assert meta["resumed_iterations"] > 0
-        edited = problem.with_latency_constraint(38)
+        result, strategy = run_warm(engine, problem, (DeadlineEdit(deadline),))
+        assert strategy == "scratch"
+        edited = problem.with_latency_constraint(deadline)
         assert result.canonical_json() == cold_canonical(edited)
 
     def test_infeasible_tightening_matches_cold_error(self):
@@ -323,21 +260,19 @@ class TestRunDeltaStrategies:
         edited = problem.with_latency_constraint(lam + 1)
         assert result.canonical_json() == cold_canonical(edited, options)
 
-    def test_chained_edits_stay_warm(self):
-        # The artifact a delta solve stores for its *edited* problem
-        # serves as the base of the next step, fingerprint-only.
+    def test_chained_edits_name_the_edited_problem(self):
+        # The engine stores a delta's *edited* problem too, so the next
+        # step of a chain may name it by fingerprint alone.
         problem = build_case(16, 3, 0.2).problem
         lam = problem.latency_constraint
         engine = Engine()
-        run_warm(engine, problem, ())
         step1 = problem.with_latency_constraint(lam + 1)
         run_warm(engine, problem, (DeadlineEdit(lam + 1),))
         result = engine.run_delta(DeltaRequest(
             edits=(DeadlineEdit(lam + 2),),
             base_fingerprint=step1.fingerprint(),
         ))
-        strategy = (result.delta or {}).get("strategy")
-        assert strategy in ("replay", "resumed", "diverged")
+        assert (result.delta or {}).get("strategy") == "scratch"
         edited = problem.with_latency_constraint(lam + 2)
         assert result.canonical_json() == cold_canonical(edited)
 
@@ -348,7 +283,7 @@ class TestRunDeltaStrategies:
         run_warm(engine, problem, ())
         first, s1 = run_warm(engine, problem, (DeadlineEdit(lam + 1),))
         second, s2 = run_warm(engine, problem, (DeadlineEdit(lam + 1),))
-        assert s1 in ("replay", "resumed", "diverged")
+        assert s1 == "scratch"
         assert s2 == "cache"
         assert second.cached
         assert first.canonical_json() == second.canonical_json()
@@ -360,7 +295,7 @@ class TestRunDeltaStrategies:
         ))
         assert (result.delta or {}).get("strategy") == "error"
         assert result.error is not None
-        assert "no replay artifact" in result.error
+        assert "no stored base problem deadbeef" in result.error
         assert result.datapath is None
 
     def test_bad_edit_is_an_error_envelope(self):
@@ -384,6 +319,11 @@ class TestRunDeltaStrategies:
             label="tagged",
         ))
         assert result.label == "tagged"
+        assert result.delta == {
+            "base_fingerprint": problem.fingerprint(),
+            "edits": 1,
+            "strategy": "scratch",
+        }
         payload = json.loads(result.canonical_json())
         assert "delta" not in payload
         # Labels are canonical (a cold solve carries them too): parity
@@ -394,7 +334,7 @@ class TestRunDeltaStrategies:
         )
         assert result.canonical_json() == cold.canonical_json()
 
-    def test_replay_artifacts_survive_engine_restart(self, tmp_path):
+    def test_stored_bases_survive_engine_restart(self, tmp_path):
         problem = build_case(16, 3, 0.2).problem
         lam = problem.latency_constraint
         Engine(cache_dir=tmp_path / "cache").run_delta(
@@ -405,91 +345,114 @@ class TestRunDeltaStrategies:
             edits=(DeadlineEdit(lam + 1),),
             base_fingerprint=problem.fingerprint(),
         ))
-        meta = result.delta or {}
-        assert meta.get("strategy") in ("replay", "resumed", "diverged")
-        assert meta.get("primed") is None
+        assert (result.delta or {}).get("strategy") == "scratch"
         edited = problem.with_latency_constraint(lam + 1)
         assert result.canonical_json() == cold_canonical(edited)
 
 
+class TestDeltaRunsLikeAnAllocation:
+    def test_executor_and_stored_bases(self, tmp_path):
+        # A delta is a run of the edited problem: under the process
+        # executor it solves in a killable worker process, like any
+        # fresh allocation.
+        problem = build_case(16, 3, 0.2).problem
+        lam = problem.latency_constraint
+        edited = problem.with_latency_constraint(lam + 1)
+        engine = Engine(executor="process")
+        run_warm(engine, problem, ())
+        started = engine.executor_stats_snapshot().get("started", 0)
+        # Fingerprint-only, after priming, without a cache_dir.
+        result = engine.run_delta(DeltaRequest(
+            edits=(DeadlineEdit(lam + 1),),
+            base_fingerprint=problem.fingerprint(),
+        ))
+        assert engine.executor_stats_snapshot()["started"] == started + 1
+        assert (result.delta or {}).get("strategy") == "scratch"
+        assert result.canonical_json() == cold_canonical(edited)
+
+        # With a cache_dir, the stored base outlives the engine.
+        cache = tmp_path / "cache"
+        Engine(cache_dir=cache).run_delta(
+            DeltaRequest(edits=(), base_problem=problem)
+        )
+        restarted = Engine(cache_dir=cache, executor="process")
+        again = restarted.run_delta(DeltaRequest(
+            edits=(DeadlineEdit(lam + 1),),
+            base_fingerprint=problem.fingerprint(),
+        ))
+        assert restarted.executor_stats_snapshot()["started"] == 1
+        assert again.canonical_json() == cold_canonical(edited)
+
+
 # ----------------------------------------------------------------------
-# artifact versioning: pre-delta-replay cache entries must degrade to
-# misses, never crash (regression for the schema/kind gate)
+# the stored base in the result cache: anything unusable under its key
+# reads as a miss, never a crash
 # ----------------------------------------------------------------------
 
 class TestArtifactVersioning:
-    def _warm_engine(self, tmp_path):
+    def _stored(self, tmp_path):
         problem = build_case(16, 3, 0.2).problem
         engine = Engine(cache_dir=tmp_path / "cache")
         engine.run_delta(DeltaRequest(edits=(), base_problem=problem))
-        key = replay_key(problem.fingerprint(), {})
-        assert key is not None
+        key = _base_key(problem.fingerprint())
         assert engine._cache is not None
         assert engine._cache.read(key) is not None
         return problem, engine, key
 
-    def _assert_recovers(self, problem, engine):
-        lam = problem.latency_constraint
-        result = engine.run_delta(DeltaRequest(
-            edits=(DeadlineEdit(lam + 1),), base_problem=problem
+    def _fingerprint_only(self, engine, problem):
+        return engine.run_delta(DeltaRequest(
+            edits=(DeadlineEdit(problem.latency_constraint + 1),),
+            base_fingerprint=problem.fingerprint(),
         ))
-        meta = result.delta or {}
-        # The poisoned artifact reads as a miss; base_problem re-primes.
-        assert meta.get("primed") is True
-        assert meta.get("strategy") in ("replay", "resumed", "diverged")
+
+    def _assert_miss_then_recovers(self, problem, tmp_path, key, poison):
+        fresh = Engine(cache_dir=tmp_path / "cache")
+        fresh._cache.write(key, poison, version="0.0.1")
+        missed = self._fingerprint_only(fresh, problem)
+        assert (missed.delta or {}).get("strategy") == "error"
+        assert "no stored base problem" in missed.error
+        # The unusable entry was invalidated, not left to re-parse.
+        assert fresh._cache.read(key) is None
+        # A delta that carries the base stores it again.
+        lam = problem.latency_constraint
+        run_warm(fresh, problem, (DeadlineEdit(lam + 1),))
+        result = self._fingerprint_only(Engine(cache_dir=tmp_path / "cache"), problem)
         edited = problem.with_latency_constraint(lam + 1)
         assert result.canonical_json() == cold_canonical(edited)
 
     def test_old_schema_entry_reads_as_miss(self, tmp_path):
-        problem, engine, key = self._warm_engine(tmp_path)
-        stale = json.loads(engine._cache.read(key))
-        assert stale["kind"] == REPLAY_KIND
-        assert stale["schema"] == REPLAY_SCHEMA
-        # A hand-written entry from before the replay schema: right key,
-        # right kind, older schema with fields today's loader lacks.
-        old = {
-            "kind": REPLAY_KIND,
-            "schema": 0,
-            "problem": problem_to_dict(problem),
-            "moves": ["refine:a", "refine:b"],  # pre-schema-1 field
-        }
-        engine._cache.write(key, json.dumps(old), version="0.0.1")
-        self._assert_recovers(problem, engine)
-        # The unusable entry was invalidated, not left to re-parse.
-        assert engine._cache.read(key) != json.dumps(old)
+        # A problem payload without a field today's loader needs.
+        problem, engine, key = self._stored(tmp_path)
+        old = json.loads(engine._cache.read(key))
+        assert old["kind"] == "problem"
+        del old["latency_constraint"]
+        self._assert_miss_then_recovers(problem, tmp_path, key, json.dumps(old))
 
     def test_wrong_kind_entry_reads_as_miss(self, tmp_path):
-        problem, engine, key = self._warm_engine(tmp_path)
-        engine._cache.write(
-            key,
-            json.dumps({"kind": "allocation-result", "allocator": "dpalloc"}),
-            version="0.0.1",
-        )
-        self._assert_recovers(problem, engine)
+        problem, _, key = self._stored(tmp_path)
+        self._assert_miss_then_recovers(problem, tmp_path, key, json.dumps(
+            {"kind": "allocation-result", "allocator": "dpalloc"}
+        ))
 
     def test_corrupt_entry_reads_as_miss(self, tmp_path):
-        problem, engine, key = self._warm_engine(tmp_path)
-        engine._cache.write(key, "{not json", version="0.0.1")
-        self._assert_recovers(problem, engine)
+        problem, _, key = self._stored(tmp_path)
+        self._assert_miss_then_recovers(problem, tmp_path, key, "{not json")
 
     def test_old_version_manifest_entry_is_tolerated(self, tmp_path):
         # Entries written by an older package version share the
         # manifest; loading them must be a version-keyed miss, not a
         # crash, and must not disturb newer entries.
-        problem, engine, key = self._warm_engine(tmp_path)
+        problem, engine, _ = self._stored(tmp_path)
         engine._cache.write(
-            "0" * 64, json.dumps({"kind": REPLAY_KIND}), version="0.0.1"
+            "0" * 64, json.dumps({"kind": "problem"}), version="0.0.1"
         )
         engine._cache.flush()
         fresh = Engine(cache_dir=tmp_path / "cache")
-        assert fresh._cache.read("0" * 64) == json.dumps({"kind": REPLAY_KIND})
-        # The good artifact next to it still serves: no re-prime needed.
-        lam = problem.latency_constraint
-        result = fresh.run_delta(DeltaRequest(
-            edits=(DeadlineEdit(lam + 1),), base_problem=problem
-        ))
-        meta = result.delta or {}
-        assert meta.get("primed") is None
-        assert meta.get("strategy") in ("replay", "resumed", "diverged")
-        edited = problem.with_latency_constraint(lam + 1)
+        assert fresh._cache.read("0" * 64) == json.dumps({"kind": "problem"})
+        # The good entry next to it still serves.
+        result = self._fingerprint_only(fresh, problem)
+        assert (result.delta or {}).get("strategy") == "scratch"
+        edited = problem.with_latency_constraint(
+            problem.latency_constraint + 1
+        )
         assert result.canonical_json() == cold_canonical(edited)

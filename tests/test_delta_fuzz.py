@@ -1,27 +1,20 @@
-"""Fixed-seed differential fuzz corpus for delta solves.
+"""Fixed-seed differential fuzz corpus: incremental vs scratch solves.
 
 Drives the library API of ``tools/fuzz_delta.py`` on a committed seed:
-the corpus must produce zero parity failures and must actually reach
-every warm-start strategy (including the divergence-detection
-fallback).  CI additionally runs the full 50-problem/500-step corpus
-through the tool's CLI; ``REPRO_FUZZ_PROBLEMS`` / ``REPRO_FUZZ_STEPS``
-scale this in-suite corpus the same way ``REPRO_SAMPLES`` scales the
-experiments.
+the corpus must produce zero parity failures and reach both scheduling
+modes.  CI additionally runs a 40-problem corpus through the tool's
+CLI.
 """
 
 from __future__ import annotations
 
 import importlib.util
 import json
-import os
 import random
 import sys
 from pathlib import Path
 
 import pytest
-
-from repro.core.delta import apply_edits
-from repro.engine import DeltaRequest, Engine
 
 SPEC = importlib.util.spec_from_file_location(
     "fuzz_delta",
@@ -34,35 +27,6 @@ sys.modules.setdefault("fuzz_delta", fuzz_delta)
 SPEC.loader.exec_module(fuzz_delta)
 
 CORPUS_SEED = 2001
-PROBLEMS = int(os.environ.get("REPRO_FUZZ_PROBLEMS", "12"))
-STEPS = int(os.environ.get("REPRO_FUZZ_STEPS", "6"))
-
-
-@pytest.fixture(scope="module")
-def delta_corpus():
-    return fuzz_delta.run_delta_fuzz(CORPUS_SEED, PROBLEMS, STEPS)
-
-
-class TestDeltaCorpus:
-    def test_zero_parity_failures(self, delta_corpus):
-        assert delta_corpus.ok, delta_corpus.summary()
-        assert delta_corpus.steps == PROBLEMS * STEPS
-
-    def test_reaches_every_replay_strategy(self, delta_corpus):
-        # The committed seed must exercise the verified-replay walk end
-        # to end: full replays, early accepts, detected divergences and
-        # the dirty-footprint scratch fallback.
-        for strategy in ("noop", "replay", "resumed", "diverged", "scratch"):
-            assert delta_corpus.strategies.get(strategy, 0) >= 1, (
-                f"corpus seed {CORPUS_SEED} no longer reaches "
-                f"{strategy!r}: {delta_corpus.summary()}"
-            )
-
-    def test_corpus_is_deterministic(self, delta_corpus):
-        again = fuzz_delta.run_delta_fuzz(CORPUS_SEED, PROBLEMS, STEPS)
-        assert again.strategies == delta_corpus.strategies
-        assert again.steps == delta_corpus.steps
-        assert again.ok
 
 
 class TestWithinSolveCorpus:
@@ -76,14 +40,6 @@ class TestWithinSolveCorpus:
 
 
 class TestGenerators:
-    def test_random_edits_always_apply_cleanly(self):
-        rng = random.Random(7)
-        for _ in range(25):
-            problem = fuzz_delta.random_problem(rng, max_ops=12)
-            edits = fuzz_delta.random_edits(rng, problem)
-            edited = apply_edits(problem, edits)
-            assert edited.latency_constraint >= 1
-
     def test_random_problem_is_seed_deterministic(self):
         a = fuzz_delta.random_problem(random.Random(3))
         b = fuzz_delta.random_problem(random.Random(3))
@@ -91,79 +47,33 @@ class TestGenerators:
 
 
 class TestFailureMachinery:
-    def test_mismatch_shrinks_to_a_repro_file(self, tmp_path, monkeypatch):
-        # Force the differential oracle to disagree: every step now
-        # "fails", the shrinker must reduce the edit sequence and the
-        # harness must persist a replayable repro file.
-        real_cold = fuzz_delta._cold_canonical
-        monkeypatch.setattr(
-            fuzz_delta, "_cold_canonical", lambda *a, **k: '"broken-oracle"'
-        )
-        report = fuzz_delta.run_delta_fuzz(
-            CORPUS_SEED, 1, 3, out_dir=tmp_path
-        )
-        assert not report.ok
-        failure = report.failures[0]
-        assert failure.shrunk
-        assert len(failure.edits) == 1
-        assert failure.repro_path is not None
-        payload = json.loads(Path(failure.repro_path).read_text())
-        assert payload["kind"] == fuzz_delta.REPRO_KIND
-        assert payload["mode"] == "delta"
-        assert len(payload["edits"]) == 1
-        assert payload["cold"] == "broken-oracle"
-        # With the real oracle back, the repro file replays clean.
-        monkeypatch.setattr(fuzz_delta, "_cold_canonical", real_cold)
-        assert fuzz_delta.run_repro_file(Path(failure.repro_path)) is None
-
-    def test_repro_round_trip_holds_parity(self, tmp_path):
-        rng = random.Random(11)
-        problem = fuzz_delta.random_problem(rng, max_ops=10)
-        edits = fuzz_delta.random_edits(rng, problem)
-        path = fuzz_delta.write_repro_file(
-            tmp_path, "case.json", mode="delta", seed=11,
-            problem=problem, edits=edits,
-        )
-        assert fuzz_delta.run_repro_file(path) is None
-
     def test_repro_rejects_foreign_payloads(self, tmp_path):
         path = tmp_path / "bogus.json"
         path.write_text(json.dumps({"kind": "datapath"}))
         with pytest.raises(ValueError):
             fuzz_delta.run_repro_file(path)
 
+    def test_mismatch_is_written_to_a_repro_file(self, tmp_path, monkeypatch):
+        # Force the differential check to disagree: the harness must
+        # report the failure and persist a file that replays it.
+        monkeypatch.setattr(
+            fuzz_delta, "_within_solve_mismatch", lambda *a: "forced"
+        )
+        report = fuzz_delta.run_within_solve_fuzz(
+            CORPUS_SEED, 1, out_dir=tmp_path, max_ops=8
+        )
+        assert not report.ok
+        (failure,) = report.failures
+        assert failure.detail == "forced"
+        payload = json.loads(Path(failure.repro_path).read_text())
+        assert payload["kind"] == fuzz_delta.REPRO_KIND
+        assert fuzz_delta.run_repro_file(Path(failure.repro_path)) == "forced"
+
     def test_within_solve_repro_round_trip(self, tmp_path):
         rng = random.Random(13)
         problem = fuzz_delta.random_problem(rng, max_ops=10)
         path = fuzz_delta.write_repro_file(
-            tmp_path, "ws.json", mode="within-solve", seed=13,
+            tmp_path, "ws.json", seed=13,
             problem=problem, options={"mode": "asap", "trace": True},
         )
         assert fuzz_delta.run_repro_file(path) is None
-
-    def test_chain_only_failures_keep_full_sequence(self, monkeypatch):
-        # A mismatch that does NOT reproduce from a fresh prime (the
-        # self-contained oracle passes) must be kept whole and flagged
-        # shrunk=False -- dropping edits would hide the chain state.
-        rng = random.Random(17)
-        problem = fuzz_delta.random_problem(rng, max_ops=10)
-        edits = fuzz_delta.random_edits(rng, problem)
-        shrunk, did = fuzz_delta._shrink_edits(problem, edits, None)
-        assert shrunk == tuple(edits)
-        assert did is False
-
-
-class TestCorpusMatchesEngineDirectly:
-    def test_one_sampled_step_agrees_with_engine(self):
-        # Spot-check that the harness' own warm/cold comparison is the
-        # same comparison a caller would write by hand.
-        rng = random.Random(CORPUS_SEED)
-        problem = fuzz_delta.random_problem(rng)
-        edits = fuzz_delta.random_edits(rng, problem)
-        engine = Engine()
-        engine.run_delta(DeltaRequest(edits=(), base_problem=problem))
-        warm = engine.run_delta(
-            DeltaRequest(edits=edits, base_problem=problem)
-        )
-        cold = fuzz_delta._cold_canonical(apply_edits(problem, edits), None)
-        assert warm.canonical_json() == cold

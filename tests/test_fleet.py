@@ -31,6 +31,7 @@ from repro.service import (
     ServiceError,
 )
 from repro.service.fleet import DEFAULT_QUEUE_LIMITS, WorkerState, free_port
+from tests.conftest import cold_delta_canonical, delta_parity_requests
 
 
 def make_problem(relax=0.5):
@@ -239,6 +240,18 @@ class TestFleetEndToEnd:
                 ))
         assert (primed.delta or {}).get("strategy") == "noop"
         assert warm.canonical_json() == offline.canonical_json()
+
+    def test_every_delta_case_through_fleet_matches_offline(self):
+        requests = delta_parity_requests(make_problem())
+        with ServerThread(max_concurrency=2) as worker:
+            with FleetThread(worker_urls=[worker.url]) as fleet:
+                client = ServiceClient(fleet.url)
+                client.wait_healthy()
+                served = [client.run_delta(request) for request in requests]
+        for request, result in zip(requests, served):
+            assert result.canonical_json() == cold_delta_canonical(request), (
+                request.label
+            )
 
     def test_timeouts_are_not_memoised(self):
         @register_allocator("test-fleet-slowpoke")

@@ -7,9 +7,9 @@
   JSON.  The digests are the same in both ``REPRO_SOLVER`` modes, so
   running this file under ``REPRO_SOLVER=scratch`` checks incremental
   == scratch on graphs larger than the parity sweep's.
-* **Delta goldens** -- the strategy and verified/resumed iteration split
-  of a warm ``lambda + 1`` deadline edit, whose envelope must also be
-  canonical-byte identical to a cold solve of the edited problem.
+* **Delta goldens** -- a fingerprint-only ``lambda + 1`` deadline edit
+  through ``Engine.run_delta``, whose envelope must be canonical-byte
+  identical to a cold solve of the edited problem.
 * **Reuse counts** (incremental mode only) -- the bind pass's chain
   cache hits across iterations, and its chain lookups (hits plus
   misses) per solve loop, at or below their measured count.
@@ -46,7 +46,6 @@ from repro.core.solution import Datapath
 from repro.core.solver import (
     SOLVER_MODES,
     DPAllocOptions,
-    ReplayRecorder,
     SolverState,
     resolve_solver_mode,
     solve_loop,
@@ -119,12 +118,12 @@ CHAIN_LOOKUPS = {
     "tgff-160-0": 55_218,
 }
 
-# label -> (ops, sample, strategy, verified iterations, resumed iterations)
+# label -> (ops, sample)
 DELTA_CASES = {
-    "tgff-48-0": (48, 0, "diverged", 45, 4),
-    "tgff-48-1": (48, 1, "replay", 23, 0),
-    "tgff-64-0": (64, 0, "resumed", 76, 1),
-    "tgff-64-1": (64, 1, "resumed", 57, 1),
+    "tgff-48-0": (48, 0),
+    "tgff-48-1": (48, 1),
+    "tgff-64-0": (64, 0),
+    "tgff-64-1": (64, 1),
 }
 
 incremental_only = pytest.mark.skipif(
@@ -270,7 +269,7 @@ class TestReuseCounts:
 
 @pytest.mark.parametrize("label", sorted(DELTA_CASES))
 def test_delta_golden(label):
-    num_ops, sample, strategy, verified, resumed = DELTA_CASES[label]
+    num_ops, sample = DELTA_CASES[label]
     problem = build_case(num_ops, sample, 0.0).problem
     deadline = problem.latency_constraint + 1
     engine = Engine()
@@ -280,12 +279,6 @@ def test_delta_golden(label):
         base_fingerprint=problem.fingerprint(),
     ))
     assert warm.ok, warm.error
-    meta = warm.delta or {}
-    assert (
-        meta.get("strategy"),
-        meta.get("verified_iterations"),
-        meta.get("resumed_iterations"),
-    ) == (strategy, verified, resumed)
     cold = execute_request(
         AllocationRequest(problem.with_latency_constraint(deadline), "dpalloc")
     )
@@ -372,7 +365,7 @@ class TestOracleAgreement:
     def test_bound_critical_path_matches_reference_on_recorded_solves(
         self, mode, monkeypatch
     ):
-        """Every ``Q_b`` of a recorded tgff-64-0 solve, at both call sites."""
+        """Every ``Q_b`` the refine pass computes in a tgff-64-0 solve."""
         agreed: Counter = Counter()
 
         def checked(site, sweep):
@@ -389,18 +382,13 @@ class TestOracleAgreement:
         monkeypatch.setattr(refinement, "bound_critical_path", checked(
             "refine_once", refinement.bound_critical_path
         ))
-        monkeypatch.setattr(solver, "bound_critical_path", checked(
-            "recorder", solver.bound_critical_path
-        ))
         problem = build_case(64, 0, 0.0).problem
         state = SolverState(
             problem, DPAllocOptions(), incremental=mode == "incremental"
         )
-        recorder = ReplayRecorder()
-        datapath = solve_loop(state, recorder)
+        datapath = solve_loop(state)
         assert canonical_digest(datapath) == SOLVER_CASES["tgff-64-0"][4]
         assert agreed["refine_once"] >= datapath.iterations - 1
-        assert agreed["recorder"] == datapath.iterations - 1
 
     def test_bound_critical_path_matches_reference_on_random_dags(self):
         """Random DAGs, valid schedules and chain bindings; broken ones raise."""

@@ -160,6 +160,31 @@ class TestRL001Interprocedural:
         assert report.new[0].path.endswith("consume.py")
         assert report.new[0].line == 5
 
+    def test_min_with_tying_key_over_set_trips(self, tmp_path):
+        # FDS picking its next op by mobility alone: of tied windows,
+        # min() returns the first in hash order.
+        report = lint_file(tmp_path, "baselines/fds_pick.py", (
+            "def pick(graph, window):\n"
+            "    pending = set(graph.names)\n"
+            "    name = min(pending, key=lambda n: window[n][1] - window[n][0])\n"
+            "    last = max((n for n in pending), key=len)\n"
+            "    return name, last\n"
+        ))
+        assert codes(report) == ["RL001", "RL001"]
+        assert [f.line for f in report.new] == [3, 4]
+        assert "tied keys" in report.new[0].message
+
+    def test_min_with_name_tie_break_is_clean(self, tmp_path):
+        report = lint_file(tmp_path, "baselines/fds_ok.py", (
+            "def pick(graph, window):\n"
+            "    pending = set(graph.names)\n"
+            "    name = min(pending, key=lambda n: (window[n][1] - window[n][0], n))\n"
+            "    first = min(pending)\n"
+            "    last = max(sorted(pending), key=len)\n"
+            "    return name, first, last\n"
+        ))
+        assert report.new == []
+
     def test_caller_side_sort_of_helper_result_is_clean(self, tmp_path):
         for rel, source in {
             "core/helpers.py": (
@@ -336,6 +361,32 @@ class TestRL004:
             "    loop = asyncio.get_running_loop()\n"
             "    await loop.run_in_executor(None, blocking)\n"
             "    return result\n"
+        ))
+        assert report.new == []
+
+    def test_sync_delta_and_stats_calls_trip(self, tmp_path):
+        report = lint_file(tmp_path, "service/engine_calls.py", (
+            "class AsyncEngine:\n"
+            "    async def run_delta(self, request):\n"
+            "        return self.engine.run_delta(request)\n"
+            "class AllocationServer:\n"
+            "    async def _handle_stats(self):\n"
+            "        return self.async_engine.stats()\n"
+        ))
+        assert codes(report) == ["RL004", "RL004"]
+        assert [f.line for f in report.new] == [3, 6]
+
+    def test_offloaded_delta_and_stats_clean(self, tmp_path):
+        report = lint_file(tmp_path, "service/engine_ok.py", (
+            "import asyncio\n"
+            "class AllocationServer:\n"
+            "    async def _handle_delta(self, request):\n"
+            "        return await self.async_engine.run_delta(request)\n"
+            "    async def _handle_stats(self):\n"
+            "        loop = asyncio.get_running_loop()\n"
+            "        return await loop.run_in_executor(\n"
+            "            None, self.async_engine.stats\n"
+            "        )\n"
         ))
         assert report.new == []
 
@@ -587,9 +638,9 @@ class TestSelfLint:
         assert "0 new, 1 suppressed" in capsys.readouterr().out
 
     def test_ci_entry_needs_no_third_party_deps(self):
-        # The CI reprolint job runs on a bare interpreter: the entry
-        # must not execute repro/__init__ (which imports networkx et
-        # al.).  Reproduce that runner by blocking those imports.
+        # The CI reprolint job runs on a bare interpreter, and the
+        # entry imports repro.  Reproduce that runner by blocking the
+        # third-party packages the repo uses elsewhere.
         import subprocess
         import sys
 
@@ -611,3 +662,28 @@ class TestSelfLint:
             cwd=REPO, capture_output=True, text=True, timeout=120,
         )
         assert result.returncode == 0, (result.stdout, result.stderr)
+
+    def test_import_repro_loads_no_third_party_module(self):
+        # Why the entry above needs no stubs: the package imports only
+        # the standard library (numpy and scipy load with the ILP
+        # baseline, networkx only in tests).
+        import os
+        import subprocess
+        import sys
+
+        probe = (
+            "import sys\n"
+            "before = set(sys.modules)\n"
+            "import repro\n"
+            "loaded = {m.split('.')[0] for m in set(sys.modules) - before}\n"
+            "# multiprocessing aliases the main module as __mp_main__\n"
+            "allowed = set(sys.stdlib_module_names) | {'repro', '__mp_main__'}\n"
+            "print(sorted(loaded - allowed))\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", probe],
+            cwd=REPO, capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"

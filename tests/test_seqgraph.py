@@ -1,7 +1,12 @@
 """Tests for the sequencing graph and its timing primitives."""
 
+import random
+
+import networkx as nx
 import pytest
 
+from repro.cli import WORKLOADS
+from repro.gen.tgff import random_sequencing_graph
 from repro.ir.ops import Operation
 from repro.ir.seqgraph import CycleError, SequencingGraph
 
@@ -46,7 +51,8 @@ class TestConstruction:
             g.add_dependency("c", "a")
         # The offending edge must not linger.
         assert ("c", "a") not in g.edges()
-        g.validate()
+        assert g.predecessors("a") == [] and g.successors("c") == []
+        assert g.topological_order() == ["a", "b", "c"]
 
     def test_add_operation_object(self):
         g = SequencingGraph()
@@ -84,12 +90,6 @@ class TestNavigation:
         for name in ("z", "m", "a"):
             g.add(name, "add", (4, 4))
         assert g.topological_order() == ["a", "m", "z"]
-
-    def test_to_networkx_is_a_copy(self):
-        g = simple_chain()
-        nxg = g.to_networkx()
-        nxg.remove_node("a")
-        assert "a" in g
 
 
 class TestTiming:
@@ -192,10 +192,131 @@ class TestDerivedStructureCaches:
         assert g.topological_order() == ["a", "b"]
 
     def test_unknown_name_still_raises(self):
-        import networkx as nx
-
         g = self._chain()
-        with pytest.raises(nx.NetworkXError):
+        with pytest.raises(KeyError):
             g.predecessors("ghost")
-        with pytest.raises(nx.NetworkXError):
+        with pytest.raises(KeyError):
             g.successors("ghost")
+
+
+# ----------------------------------------------------------------------
+# networkx as the oracle: the graph once wrapped an nx.DiGraph, and
+# Problem.fingerprint() (so every cache key and fleet route) hashes the
+# edges() order that networkx gave.
+# ----------------------------------------------------------------------
+
+class RecordedBuild:
+    """Every add_operation/add_dependency call, in order, per graph."""
+
+    def __init__(self, monkeypatch):
+        self.calls = {}
+        add_operation = SequencingGraph.add_operation
+        add_dependency = SequencingGraph.add_dependency
+
+        def recording_operation(graph, op):
+            self.calls.setdefault(graph, []).append(("node", op.name))
+            return add_operation(graph, op)
+
+        def recording_dependency(graph, producer, consumer):
+            self.calls.setdefault(graph, []).append(
+                ("edge", producer, consumer)
+            )
+            return add_dependency(graph, producer, consumer)
+
+        monkeypatch.setattr(SequencingGraph, "add_operation", recording_operation)
+        monkeypatch.setattr(SequencingGraph, "add_dependency", recording_dependency)
+
+    def oracle(self, graph):
+        """The nx.DiGraph the old wrapper built from the same calls."""
+        return replay_into_networkx(self.calls[graph])[0]
+
+
+def replay_into_networkx(calls):
+    """Apply add calls to an nx.DiGraph exactly as the old wrapper did.
+
+    Returns the graph and, per edge call, whether it was rejected as a
+    cycle.
+    """
+    oracle = nx.DiGraph()
+    rejected = []
+    for call in calls:
+        if call[0] == "node":
+            oracle.add_node(call[1])
+            continue
+        _, producer, consumer = call
+        if producer == consumer:
+            rejected.append(True)
+            continue
+        oracle.add_edge(producer, consumer)
+        cyclic = not nx.is_directed_acyclic_graph(oracle)
+        if cyclic:
+            oracle.remove_edge(producer, consumer)
+        rejected.append(cyclic)
+    return oracle, rejected
+
+
+def assert_matches_networkx(graph, oracle):
+    assert graph.edges() == tuple(oracle.edges())
+    assert graph.topological_order() == list(
+        nx.lexicographical_topological_sort(oracle)
+    )
+    for name in graph.names:
+        assert graph.predecessors(name) == sorted(oracle.predecessors(name))
+        assert graph.successors(name) == sorted(oracle.successors(name))
+    assert graph.sources() == sorted(
+        n for n in oracle.nodes if oracle.in_degree(n) == 0
+    )
+    assert graph.sinks() == sorted(
+        n for n in oracle.nodes if oracle.out_degree(n) == 0
+    )
+
+
+class TestNetworkxOracle:
+    @pytest.mark.parametrize("num_ops", [1, 6, 12, 20, 48, 96, 160])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_tgff_grid(self, num_ops, seed, monkeypatch):
+        build = RecordedBuild(monkeypatch)
+        graph = random_sequencing_graph(num_ops, seed=seed)
+        assert_matches_networkx(graph, build.oracle(graph))
+        copy = graph.copy()
+        assert_matches_networkx(copy, build.oracle(copy))
+
+    @pytest.mark.parametrize("name", sorted(WORKLOADS))
+    def test_named_workloads(self, name, monkeypatch):
+        build = RecordedBuild(monkeypatch)
+        graph = WORKLOADS[name][0]()
+        assert_matches_networkx(graph, build.oracle(graph))
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_insert_sequences(self, seed):
+        """Shuffled names, duplicate, self and cycle-closing edges."""
+        rng = random.Random(seed)
+        names = [f"{rng.choice('abcxyz')}{i}" for i in range(rng.randint(1, 30))]
+        rng.shuffle(names)
+        calls = [("node", name) for name in names]
+        for _ in range(rng.randint(0, 3 * len(names))):
+            calls.append(("edge", rng.choice(names), rng.choice(names)))
+        rng.shuffle(calls)  # edges may come before their nodes
+        graph = SequencingGraph()
+        applied = []
+        rejected = []
+        for call in calls:
+            if call[0] == "node":
+                graph.add(call[1], "add", (8, 8))
+                applied.append(call)
+                continue
+            _, producer, consumer = call
+            if producer not in graph or consumer not in graph:
+                with pytest.raises(KeyError):
+                    graph.add_dependency(producer, consumer)
+                continue
+            applied.append(call)
+            try:
+                graph.add_dependency(producer, consumer)
+            except CycleError:
+                rejected.append(True)
+            else:
+                rejected.append(False)
+        oracle, expected = replay_into_networkx(applied)
+        assert rejected == expected
+        assert_matches_networkx(graph, oracle)

@@ -46,6 +46,7 @@ from repro.service import (
 )
 from repro.service.fleet import free_port
 from repro.service.primitives import latency_summary, nearest_rank
+from tests.conftest import cold_delta_canonical, delta_parity_requests
 
 fork_only = pytest.mark.skipif(
     multiprocessing.get_start_method() != "fork",
@@ -694,9 +695,22 @@ class TestDeltaEndpoint:
             ))
         assert (primed.delta or {}).get("strategy") == "noop"
         assert primed.label == "prime"
-        meta = warm.delta or {}
-        assert meta.get("strategy") in ("replay", "resumed", "diverged")
+        assert (warm.delta or {}).get("strategy") == "scratch"
         assert warm.canonical_json() == offline.canonical_json()
+
+    def test_every_delta_case_matches_offline(self):
+        requests = delta_parity_requests(make_problem(relax=0.5))
+        with ServerThread(engine=Engine(), max_concurrency=2) as st:
+            client = ServiceClient(st.url)
+            client.wait_healthy()
+            served = [client.run_delta(request) for request in requests]
+        for request, result in zip(requests, served):
+            assert result.canonical_json() == cold_delta_canonical(request), (
+                request.label
+            )
+        strategies = {r.label: (r.delta or {}).get("strategy") for r in served}
+        assert strategies["noop"] == "noop"
+        assert strategies["bad-edit"] == strategies["unknown-base"] == "error"
 
     def test_served_delta_error_envelope_is_http_200(self):
         from repro.engine import DeltaRequest
@@ -708,7 +722,7 @@ class TestDeltaEndpoint:
                 edits=(), base_fingerprint="deadbeef"
             ))
         assert (result.delta or {}).get("strategy") == "error"
-        assert "no replay artifact" in result.error
+        assert "no stored base problem" in result.error
 
     def test_malformed_delta_body_is_http_400(self):
         with ServerThread(engine=Engine(), max_concurrency=1) as st:

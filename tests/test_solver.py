@@ -293,7 +293,7 @@ class TestIncrementalReuseState:
         assert state.chain_cache is None
 
     def test_blind_refinement_skips_bound_path(self, monkeypatch):
-        from repro.core import refinement, solver
+        from repro.core import refinement
         from repro.core.solver import PIPELINE, _REFINE, SolverState
 
         calls = []
@@ -303,7 +303,6 @@ class TestIncrementalReuseState:
             return set()
 
         monkeypatch.setattr(refinement, "bound_critical_path", counting)
-        monkeypatch.setattr(solver, "bound_critical_path", counting)
         problem = build_case(12, 0, 0.0).problem
         options = DPAllocOptions(blind_refinement=True)
         state = SolverState(problem, options, incremental=True)

@@ -17,7 +17,7 @@ class TestGeneration:
 
     def test_is_dag(self):
         g = random_sequencing_graph(30, seed=3)
-        assert nx.is_directed_acyclic_graph(g.to_networkx())
+        assert nx.is_directed_acyclic_graph(nx.DiGraph(g.edges()))
 
     def test_determinism(self):
         a = random_sequencing_graph(15, seed=99)
@@ -49,14 +49,12 @@ class TestGeneration:
     def test_in_degree_bounded(self):
         cfg = TgffConfig(max_in_degree=2)
         g = random_sequencing_graph(40, seed=11, config=cfg)
-        nxg = g.to_networkx()
-        assert all(nxg.in_degree(n) <= 2 for n in nxg.nodes)
+        assert all(len(g.predecessors(n)) <= 2 for n in g.names)
 
     def test_out_degree_bounded(self):
         cfg = TgffConfig(max_out_degree=2)
         g = random_sequencing_graph(40, seed=13, config=cfg)
-        nxg = g.to_networkx()
-        assert all(nxg.out_degree(n) <= 2 for n in nxg.nodes)
+        assert all(len(g.successors(n)) <= 2 for n in g.names)
 
 
 class TestConfigValidation:
